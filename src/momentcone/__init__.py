@@ -73,5 +73,4 @@ from .measures import (
     recover_measure,
     verify_representation,
 )
-from .jacobi import jacobi_eigh, jacobi_eigvals
 from .nnls import nnls_bb

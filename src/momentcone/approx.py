@@ -10,28 +10,25 @@ the unit cube.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import optimize
 
-from .jacobi import jacobi_eigh
 from .measures import BoxSpec, box_from_weight
 from .norms import WeightSpec, weighted_norm
 from .polyring import (
     MultiIndex,
     Polynomial,
     axis_scale,
-    grlex_key,
-    iter_simplex,
+    monomial_values,
     poly_add,
     poly_eval,
     poly_mul,
     poly_scale,
     poly_sub,
     series_sqrt,
+    simplex_index,
 )
 
 
@@ -86,7 +83,7 @@ def coefficientwise_report(f: Polynomial, i_max: int) -> ApproxReport:
     if i_max < 1:
         raise ValueError("i_max must be >= 1")
     cap = max(f.degree, 0)
-    region = list(iter_simplex(f.n, cap))
+    region = simplex_index(f.n, cap).basis
     records = []
     for i in range(1, i_max + 1):
         h = sqrt_square_approx(f, i)
@@ -118,7 +115,7 @@ class SosCertificate:
 
 
 def _psd_project(mat: np.ndarray) -> np.ndarray:
-    w, v = jacobi_eigh(mat)
+    w, v = np.linalg.eigh(mat)
     clipped = np.maximum(w, 0.0)
     out = (v * clipped) @ v.T
     return 0.5 * (out + out.T)
@@ -133,51 +130,38 @@ def sos_certify(
     """Search for a PSD Gram matrix representing f over the degree-d basis.
 
     Alternating projections between the affine set of moment-matched matrices
-    (closed form: the structural constraint matrices have disjoint supports)
-    and the PSD cone (eigenvalue clipping).  Iteration continues below tol
-    while it keeps paying off, so converged certificates are typically far
-    tighter than tol; success just means the final residual is within tol.
+    (closed form: the entries that sum to one coefficient share a Hankel index,
+    so the groups are disjoint) and the PSD cone (eigenvalue clipping).
+    Iteration continues below tol while it keeps paying off, so converged
+    certificates are typically far tighter than tol; success just means the
+    final residual is within tol.
     """
     if d < 0:
         raise ValueError("basis degree must be >= 0")
     if f.degree > 2 * d:
         raise ValueError(f"degree {f.degree} exceeds Gram capacity {2 * d}")
-    basis = tuple(iter_simplex(f.n, d))
+    idx = simplex_index(f.n, d)
+    basis = idx.basis
     m = len(basis)
+    hankel = idx.hankel()
+    flat = hankel.ravel()
+    monomials = simplex_index(f.n, 2 * d).basis
+    targets = np.array([f.coefficient(g) for g in monomials])
+    counts = np.bincount(flat, minlength=len(targets))
 
-    groups: dict[MultiIndex, list[tuple[int, int]]] = {}
-    for i in range(m):
-        for j in range(m):
-            gamma = tuple(a + b for a, b in zip(basis[i], basis[j]))
-            groups.setdefault(gamma, []).append((i, j))
-    order = sorted(groups, key=grlex_key)
-    rows = {g: np.array([i for i, _ in groups[g]]) for g in order}
-    cols = {g: np.array([j for _, j in groups[g]]) for g in order}
-    targets = {g: f.coefficient(g) for g in order}
+    def moment_sums(mat: np.ndarray) -> np.ndarray:
+        return np.bincount(flat, weights=mat.ravel(), minlength=len(targets))
 
-    def project_affine(mat: np.ndarray) -> np.ndarray:
-        for g in order:
-            r, c = rows[g], cols[g]
-            shift = (targets[g] - float(mat[r, c].sum())) / len(r)
-            mat[r, c] += shift
-        return mat
-
-    def moment_residual(mat: np.ndarray) -> float:
-        return max(
-            abs(float(mat[rows[g], cols[g]].sum()) - targets[g]) for g in order
-        )
-
-    scale = max((abs(t) for t in targets.values()), default=0.0)
-    floor = max(tol * 1e-6, 1e-15 * max(scale, 1.0))
+    floor = max(tol * 1e-6, 1e-15 * max(float(np.max(np.abs(targets))), 1.0))
 
     gram = np.zeros((m, m))
     residual = math.inf
     previous = math.inf
     iterations = 0
     for iterations in range(1, max_iters + 1):
-        gram = project_affine(gram)
-        gram = _psd_project(gram)
-        residual = moment_residual(gram)
+        # affine step: spread each coefficient's mismatch evenly over its group
+        gram = _psd_project(gram + ((targets - moment_sums(gram)) / counts)[hankel])
+        residual = float(np.max(np.abs(moment_sums(gram) - targets)))
         if residual <= floor:
             break
         if residual <= tol and residual >= 0.999 * previous:
@@ -185,7 +169,7 @@ def sos_certify(
         previous = residual
 
     success = residual <= tol
-    w, v = jacobi_eigh(gram)
+    w, v = np.linalg.eigh(gram)
     gram_min_eig = float(w[0])
     factors: list[Polynomial] = []
     if success:
@@ -199,8 +183,7 @@ def sos_certify(
         for h in factors:
             reproduced = poly_add(reproduced, poly_mul(h, h))
         residual = max(
-            abs(reproduced.coefficient(a) - f.coefficient(a))
-            for a in iter_simplex(f.n, 2 * d)
+            abs(reproduced.coefficient(a) - f.coefficient(a)) for a in monomials
         )
     return SosCertificate(
         success=success,
@@ -245,10 +228,9 @@ class BoxApproxResult:
 
 
 def _eval_on_points(f: Polynomial, points: np.ndarray) -> np.ndarray:
-    values = np.zeros(points.shape[0])
-    for alpha, coef in f.sorted_terms():
-        values += coef * np.prod(points ** np.asarray(alpha, dtype=float), axis=1)
-    return values
+    terms = f.sorted_terms()
+    exponents = np.array([alpha for alpha, _ in terms], dtype=np.int64).reshape(-1, f.n)
+    return monomial_values(points, exponents) @ np.array([coef for _, coef in terms])
 
 
 def screen_box_nonnegativity(
@@ -265,6 +247,8 @@ def screen_box_nonnegativity(
     returns (point, value) for the worst violation found, or None.  Absence of
     a violation is evidence, not proof.
     """
+    from scipy import optimize  # imported here only: it dominates CLI start-up
+
     if f.n != box.n:
         raise ValueError(f"dimension mismatch: {f.n} vs {box.n}")
     axes = [np.linspace(lo, hi, grid_m) for lo, hi in zip(box.lower, box.upper)]
@@ -399,14 +383,12 @@ def convergence_sweep(
     w: WeightSpec,
     eps_schedule: Sequence[float],
     d_max: int,
-    max_workers: int | None = None,
     **kwargs,
 ) -> tuple[ApproxReport, list[BoxApproxResult]]:
     """Run box_sos_approx along a decreasing eps schedule.
 
-    The box precondition is screened once up front; the per-eps runs are
-    independent and may execute on a thread pool, with results always
-    collected in schedule order.
+    The box precondition is screened once up front; the per-eps runs follow
+    in schedule order.
     """
     schedule = [float(e) for e in eps_schedule]
     if not schedule:
@@ -439,14 +421,9 @@ def convergence_sweep(
         )
         return ApproxReport((), w), [failure]
 
-    def run(eps: float) -> BoxApproxResult:
-        return box_sos_approx(f, w, eps, d_max, skip_screening=True, **kwargs)
-
-    if max_workers is not None and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(run, schedule))
-    else:
-        results = [run(eps) for eps in schedule]
+    results = [
+        box_sos_approx(f, w, eps, d_max, skip_screening=True, **kwargs) for eps in schedule
+    ]
 
     records = tuple(
         ApproxRecord(

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field
 
@@ -39,17 +38,6 @@ from .moments import (
 )
 from .norms import WeightSpec, eval_sequence_norm, weighted_norm
 from .polyring import poly_from_dict, poly_to_dict
-
-
-def thread_count() -> int:
-    """Worker cap from MOMENTCONE_THREADS; defaults to all cores."""
-    raw = os.environ.get("MOMENTCONE_THREADS", "").strip()
-    if raw:
-        value = int(raw)
-        if value < 1:
-            raise ValueError("MOMENTCONE_THREADS must be >= 1")
-        return value
-    return os.cpu_count() or 1
 
 
 def render_json(obj) -> str:
@@ -127,9 +115,16 @@ def _parse_weight(args) -> WeightSpec:
     return WeightSpec(args.p, r)
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text} in JSON input")
+    return value
+
+
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, parse_float=_finite_float, parse_constant=_finite_float)
 
 
 def _emit(text: str, out: str | None) -> None:

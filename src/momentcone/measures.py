@@ -17,7 +17,7 @@ import numpy as np
 from .moments import MomentSequence
 from .nnls import nnls_bb
 from .norms import WeightSpec
-from .polyring import MultiIndex, iter_simplex
+from .polyring import MultiIndex, monomial_values, simplex_index
 
 # Recovered grid weights at or below this threshold are treated as absent.
 SUPPORT_THRESHOLD = 1e-10
@@ -63,15 +63,12 @@ class AtomicMeasure:
     def mass(self) -> float:
         return math.fsum(self.weights)
 
-    def integrate_monomial(self, alpha: MultiIndex) -> float:
-        terms = []
-        for point, weight in zip(self.atoms, self.weights):
-            mono = 1.0
-            for x, a in zip(point, alpha):
-                if a:
-                    mono *= x ** a
-            terms.append(weight * mono)
-        return math.fsum(terms)
+
+def _integrate_simplex(mu: AtomicMeasure, n: int, max_degree: int) -> list[float]:
+    """sum_j w_j x_j^alpha for every |alpha| <= max_degree, in graded-lex order."""
+    points = np.reshape(np.array(mu.atoms, dtype=float), (-1, n))
+    vander = monomial_values(points, simplex_index(n, max_degree).exponents)
+    return [math.fsum(column) for column in (vander * np.array(mu.weights)[:, None]).T]
 
 
 @dataclass(frozen=True)
@@ -124,9 +121,9 @@ def moments_of_measure(mu: AtomicMeasure, max_degree: int) -> MomentSequence:
     """Moment sequence s(alpha) = sum_j w_j x_j^alpha up to max_degree."""
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
-    n = mu.n
-    values = {alpha: mu.integrate_monomial(alpha) for alpha in iter_simplex(n, max_degree)}
-    return MomentSequence(n, max_degree, values)
+    basis = simplex_index(mu.n, max_degree).basis
+    integrals = _integrate_simplex(mu, mu.n, max_degree)
+    return MomentSequence(mu.n, max_degree, dict(zip(basis, integrals)))
 
 
 @dataclass(frozen=True)
@@ -197,19 +194,11 @@ def recover_measure(
         raise ValueError("need at least 2 grid points per axis")
     points = _grid_points(box, grid_m)
     unit_points = _grid_points(BoxSpec.from_halfwidths((1.0,) * s.n), grid_m)
-    halfwidths = np.asarray(box.upper)
-    indices = list(iter_simplex(s.n, s.max_degree))
-
-    a = np.empty((len(indices), points.shape[0]))
-    a_unit = np.empty_like(a)
-    b = np.empty(len(indices))
-    b_unit = np.empty(len(indices))
-    for i, alpha in enumerate(indices):
-        exps = np.asarray(alpha, dtype=float)
-        a[i] = np.prod(points ** exps, axis=1)
-        a_unit[i] = np.prod(unit_points ** exps, axis=1)
-        b[i] = s.values[alpha]
-        b_unit[i] = b[i] / float(np.prod(halfwidths ** exps))
+    exponents = simplex_index(s.n, s.max_degree).exponents
+    a = monomial_values(points, exponents).T
+    a_unit = monomial_values(unit_points, exponents).T
+    b = s.vector()
+    b_unit = b / monomial_values([box.upper], exponents)[0]
 
     col_scale = np.linalg.norm(a_unit, axis=0)
     col_scale[col_scale == 0.0] = 1.0
@@ -261,9 +250,10 @@ def verify_representation(
     """
     if mu.atoms and mu.n != s.n:
         raise ValueError(f"dimension mismatch: measure has n={mu.n}, moments have n={s.n}")
+    integrals = _integrate_simplex(mu, s.n, s.max_degree)
     per_index = {
-        alpha: abs(value - mu.integrate_monomial(alpha))
-        for alpha, value in s.sorted_values()
+        alpha: abs(value - integral)
+        for (alpha, value), integral in zip(s.sorted_values(), integrals)
     }
     max_residual = max(per_index.values(), default=0.0)
     atoms_in_box = None

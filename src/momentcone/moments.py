@@ -14,9 +14,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .jacobi import jacobi_eigvals
 from .norms import WeightSpec, dual_weight, weight_power
-from .polyring import MultiIndex, Polynomial, grlex_key, iter_simplex, simplex_size
+from .polyring import MultiIndex, Polynomial, grlex_key, simplex_index, simplex_size
 
 
 @dataclass(frozen=True)
@@ -57,6 +56,10 @@ class MomentSequence:
 
     def sorted_values(self) -> list[tuple[MultiIndex, float]]:
         return sorted(self.values.items(), key=lambda item: grlex_key(item[0]))
+
+    def vector(self) -> np.ndarray:
+        """The values in graded-lex order, i.e. indexed by grlex_rank."""
+        return np.array([v for _, v in self.sorted_values()])
 
 
 @dataclass(frozen=True)
@@ -115,16 +118,8 @@ def moment_matrix(s: MomentSequence, d: int) -> MomentMatrix:
         raise ValueError("degree must be >= 0")
     if 2 * d > s.max_degree:
         raise ValueError(f"insufficient moments: need degree {2 * d}, have {s.max_degree}")
-    basis = tuple(iter_simplex(s.n, d))
-    m = len(basis)
-    entries = np.empty((m, m))
-    for i, alpha in enumerate(basis):
-        for j in range(i, m):
-            beta = basis[j]
-            value = s.values[tuple(a + b for a, b in zip(alpha, beta))]
-            entries[i, j] = value
-            entries[j, i] = value
-    return MomentMatrix(d, basis, entries)
+    idx = simplex_index(s.n, d)
+    return MomentMatrix(d, idx.basis, s.vector()[idx.hankel()])
 
 
 def localized_moment_matrix(s: MomentSequence, g: Polynomial, d: int) -> MomentMatrix:
@@ -136,27 +131,19 @@ def localized_moment_matrix(s: MomentSequence, g: Polynomial, d: int) -> MomentM
     need = 2 * d + max(g.degree, 0)
     if need > s.max_degree:
         raise ValueError(f"insufficient moments: need degree {need}, have {s.max_degree}")
-    basis = tuple(iter_simplex(s.n, d))
-    m = len(basis)
-    g_terms = g.sorted_terms()
-    entries = np.empty((m, m))
-    for i, alpha in enumerate(basis):
-        for j in range(i, m):
-            beta = basis[j]
-            value = math.fsum(
-                coef * s.values[tuple(a + b + c for a, b, c in zip(alpha, beta, gamma))]
-                for gamma, coef in g_terms
-            )
-            entries[i, j] = value
-            entries[j, i] = value
-    return MomentMatrix(d, basis, entries)
+    idx = simplex_index(s.n, d)
+    values = s.vector()
+    entries = np.zeros((len(idx.basis),) * 2)
+    for gamma, coef in g.sorted_terms():
+        entries += coef * values[idx.hankel(gamma)]
+    return MomentMatrix(d, idx.basis, entries)
 
 
 def min_eigenvalue(mat: MomentMatrix) -> float:
-    """Smallest eigenvalue via the deterministic cyclic Jacobi solver."""
+    """Smallest eigenvalue (LAPACK, via numpy)."""
     if mat.size == 0:
         return 0.0
-    return float(jacobi_eigvals(mat.entries)[0])
+    return float(np.linalg.eigvalsh(mat.entries)[0])
 
 
 def default_psd_tol(mat: MomentMatrix) -> float:

@@ -12,7 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .polyring import Polynomial, axis_scale, iter_simplex
+import numpy as np
+
+from .polyring import Polynomial, axis_scale, monomial_values, simplex_index
 
 PExponent = Union[Fraction, float]  # Fraction when finite, math.inf otherwise
 
@@ -198,26 +200,13 @@ def eval_sequence_norm_partial(x, w: WeightSpec, max_degree: int) -> float:
     if len(xs) != w.n:
         raise ValueError(f"point has dimension {len(xs)}, expected {w.n}")
     dual = dual_weight(w)
+    exponents = simplex_index(w.n, max_degree).exponents
     if dual.q == math.inf:
         factors = [abs(xi) * rp for xi, rp in zip(xs, dual.r_prime)]
-        best = 0.0
-        for alpha in iter_simplex(w.n, max_degree):
-            term = 1.0
-            for t, a in zip(factors, alpha):
-                if a:
-                    term *= t ** a
-            best = max(best, term)
-        return best
+        return float(np.max(monomial_values([factors], exponents)))
     qf = float(dual.q)
     ratios = [abs(xi) ** qf * rp for xi, rp in zip(xs, dual.r_prime)]
-    terms = []
-    for alpha in iter_simplex(w.n, max_degree):
-        term = 1.0
-        for t, a in zip(ratios, alpha):
-            if a:
-                term *= t ** a
-        terms.append(term)
-    return math.fsum(terms) ** (1.0 / qf)
+    return math.fsum(monomial_values([ratios], exponents)[0]) ** (1.0 / qf)
 
 
 def is_evaluation_continuous(x, w: WeightSpec) -> bool:

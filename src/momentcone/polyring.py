@@ -8,10 +8,13 @@ order makes every iteration, summation and serialization reproducible.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterator, Mapping
+
+import numpy as np
 
 MultiIndex = tuple[int, ...]
 
@@ -41,6 +44,60 @@ def iter_simplex(n: int, max_degree: int) -> Iterator[MultiIndex]:
 def simplex_size(n: int, max_degree: int) -> int:
     """Number of exponent tuples with |alpha| <= max_degree."""
     return math.comb(n + max_degree, n)
+
+
+def _binom(x: np.ndarray, k: int) -> np.ndarray:
+    # C(x, k) elementwise in exact integer steps: after step j it is C(x, j + 1).
+    out = np.ones_like(x)
+    for j in range(k):
+        out = out * (x - j) // (j + 1)
+    return out
+
+
+def grlex_rank(alpha) -> np.ndarray:
+    """Position of each exponent (last axis) in the graded-lex simplex order.
+
+    The rank counts the exponents of lower total degree, then the lex-smaller
+    ones of the same degree, so it does not depend on any truncation degree.
+    """
+    alpha = np.asarray(alpha, dtype=np.int64)
+    n = alpha.shape[-1]
+    rest = alpha.sum(axis=-1)
+    rank = _binom(rest + n - 1, n)
+    for i in range(n - 1):
+        t = n - 1 - i
+        rank = rank + _binom(rest + t, t) - _binom(rest - alpha[..., i] + t, t)
+        rest = rest - alpha[..., i]
+    return rank
+
+
+class SimplexIndex:
+    """The graded-lex basis |alpha| <= degree in n variables, as arrays.
+
+    ``exponents[i]`` is ``basis[i]``, and ``hankel(shift)[i, j]`` is the rank
+    of ``basis[i] + basis[j] + shift``, so a vector of values indexed by rank
+    becomes a (localized) moment matrix by one gather.
+    """
+
+    def __init__(self, n: int, degree: int) -> None:
+        self.basis: tuple[MultiIndex, ...] = tuple(iter_simplex(n, degree))
+        self.exponents = np.array(self.basis, dtype=np.int64).reshape(-1, n)
+        self.exponents.setflags(write=False)
+
+    def hankel(self, shift: MultiIndex | int = 0) -> np.ndarray:
+        return grlex_rank(self.exponents[:, None, :] + self.exponents[None, :, :] + shift)
+
+
+@functools.lru_cache(maxsize=64)
+def simplex_index(n: int, degree: int) -> SimplexIndex:
+    """The shared SimplexIndex of (n, degree)."""
+    return SimplexIndex(n, degree)
+
+
+def monomial_values(points, exponents) -> np.ndarray:
+    """The Vandermonde V[k, i] = prod_j points[k, j] ** exponents[i, j]."""
+    points = np.asarray(points, dtype=float)
+    return np.prod(points[:, None, :] ** np.asarray(exponents), axis=2)
 
 
 def _canonical(n: int, terms: Mapping[MultiIndex, float]) -> dict[MultiIndex, float]:

@@ -242,13 +242,6 @@ class TestConvergenceSweep:
         distances = [rec.distance for rec in report.records]
         assert distances == pytest.approx([0.5, 0.25, 0.125], rel=1e-6)
 
-    def test_thread_pool_matches_serial(self):
-        serial, _ = convergence_sweep(ONE_MINUS_XSQ, WeightSpec(1, (1.0,)), [1.0, 0.5], 2)
-        pooled, _ = convergence_sweep(
-            ONE_MINUS_XSQ, WeightSpec(1, (1.0,)), [1.0, 0.5], 2, max_workers=2
-        )
-        assert serial == pooled
-
     def test_rejects_non_decreasing_schedule(self):
         with pytest.raises(ValueError):
             convergence_sweep(ONE_MINUS_XSQ, WeightSpec(1, (1.0,)), [0.5, 1.0], 2)

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +16,7 @@ from momentcone import (
     moments_to_dict,
     poly_to_dict,
 )
-from momentcone.cli import main, render_json, thread_count
+from momentcone.cli import main, render_json
 
 
 @pytest.fixture
@@ -73,21 +77,6 @@ class TestRenderJson:
         assert render_json(payload) == render_json(payload)
 
 
-class TestThreadCount:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("MOMENTCONE_THREADS", "3")
-        assert thread_count() == 3
-
-    def test_rejects_nonpositive(self, monkeypatch):
-        monkeypatch.setenv("MOMENTCONE_THREADS", "0")
-        with pytest.raises(ValueError):
-            thread_count()
-
-    def test_default_positive(self, monkeypatch):
-        monkeypatch.delenv("MOMENTCONE_THREADS", raising=False)
-        assert thread_count() >= 1
-
-
 class TestNormCommand:
     def test_single_term(self, workdir, capsys):
         assert main(["norm", "--f", workdir["xsq"], "--p", "1", "--r", "4"]) == 0
@@ -128,6 +117,18 @@ class TestPsdCheckCommand:
         assert main(["psd-check", "--moments", workdir["delta_half"], "--d", "3"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["pass"] is True
+
+    @pytest.mark.parametrize("literal", ["NaN", "-Infinity", "1e999"])
+    def test_non_finite_moment_exit_one(self, literal, tmp_path, capsys):
+        path = tmp_path / "moments.json"
+        path.write_text(
+            '{"n": 1, "max_degree": 2, "values": [{"exp": [0], "s": 1.0}, '
+            f'{{"exp": [1], "s": {literal}}}, {{"exp": [2], "s": 1.0}}]}}'
+        )
+        assert main(["psd-check", "--moments", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert literal in captured.err
 
     def test_fail_exit_two(self, workdir, capsys):
         assert main(["psd-check", "--moments", workdir["indefinite"], "--d", "1"]) == 2
@@ -322,3 +323,13 @@ class TestDeterminism:
         )
         assert code == 0
         assert json.loads(out.read_text())["pass"] is True
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, momentcone.cli; print('scipy.optimize' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "False"

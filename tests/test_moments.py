@@ -24,7 +24,7 @@ from momentcone import (
     poly_mul,
     weighted_norm,
 )
-from momentcone.jacobi import jacobi_eigh
+from momentcone.approx import _psd_project
 from conftest import random_sparse_poly
 
 
@@ -149,13 +149,34 @@ class TestLocalizedMomentMatrix:
         local = localized_moment_matrix(s, Polynomial.constant(1, -1.0), 1)
         assert np.allclose(local.entries, -base.entries)
 
+    def test_matches_direct_fsum_build(self, rng):
+        mu = AtomicMeasure(((0.4, -0.2), (-0.7, 0.9), (0.1, 0.3)), (1.0, 0.5, 2.0))
+        s = moments_of_measure(mu, 7)
+        for _ in range(10):
+            g = random_sparse_poly(rng, 2, 3)
+            local = localized_moment_matrix(s, g, 2)
+            direct = np.array(
+                [
+                    [
+                        math.fsum(
+                            c * s.value(tuple(x + y + z for x, y, z in zip(a, b, gamma)))
+                            for gamma, c in g.sorted_terms()
+                        )
+                        for b in local.basis
+                    ]
+                    for a in local.basis
+                ]
+            )
+            scale = float(np.max(np.abs(direct)))
+            assert np.max(np.abs(local.entries - direct)) <= 1e-12 * scale
+
     def test_insufficient_moments_for_generator(self):
         g = Polynomial(1, {(0,): 1.0, (2,): -1.0})
         with pytest.raises(ValueError):
             localized_moment_matrix(lebesgue_moments(4), g, 2)
 
 
-class TestJacobiEigensolver:
+class TestMinEigenvalue:
     def test_identity(self):
         s = MomentSequence(1, 2, {(0,): 1.0, (1,): 0.0, (2,): 1.0})
         assert min_eigenvalue(moment_matrix(s, 1)) == pytest.approx(1.0, abs=1e-12)
@@ -164,22 +185,23 @@ class TestJacobiEigensolver:
         assert min_eigenvalue(moment_matrix(INDEFINITE, 1)) == pytest.approx(-1.0, abs=1e-12)
 
     def test_gram_matrices_nonnegative(self, rng):
+        # the PSD projection leaves a Gram matrix where it is
         for _ in range(30):
             size = int(rng.integers(1, 10))
             a = rng.standard_normal((size, size))
-            w, _ = jacobi_eigh(a.T @ a)
-            assert w[0] >= -1e-10 * max(1.0, float(np.abs(a).max()) ** 2)
+            gram = a.T @ a
+            scale = max(1.0, float(np.linalg.norm(gram)))
+            assert np.max(np.abs(_psd_project(gram) - gram)) <= 1e-10 * scale
 
-    def test_matches_reference_solver(self, rng):
+    def test_psd_projection_is_psd(self, rng):
         for _ in range(30):
             size = int(rng.integers(1, 13))
             a = rng.standard_normal((size, size))
             sym = 0.5 * (a + a.T)
-            w, v = jacobi_eigh(sym)
-            ref = np.linalg.eigvalsh(sym)
+            out = _psd_project(sym)
             scale = max(1.0, float(np.linalg.norm(sym)))
-            assert np.max(np.abs(w - ref)) <= 1e-10 * scale
-            assert np.max(np.abs(sym @ v - v * w)) <= 1e-10 * scale
+            assert np.array_equal(out, out.T)
+            assert np.linalg.eigvalsh(out)[0] >= -1e-10 * scale
 
 
 class TestPsdCertification:

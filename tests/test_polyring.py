@@ -19,6 +19,7 @@ from momentcone import (
     series_sqrt,
     simplex_size,
 )
+from momentcone.polyring import simplex_index
 from conftest import (
     assert_poly_close,
     coefficient_gap,
@@ -59,6 +60,21 @@ class TestSimplexOrder:
         for n in (1, 2, 3):
             for d in range(5):
                 assert len(list(iter_simplex(n, d))) == simplex_size(n, d)
+
+    def test_simplex_index_matches_enumeration(self):
+        for n in (1, 2, 3):
+            for d in range(5):
+                idx = simplex_index(n, d)
+                assert idx.basis == tuple(iter_simplex(n, d))
+                assert [tuple(row) for row in idx.exponents.tolist()] == list(idx.basis)
+                assert np.array_equal(idx.hankel(), idx.hankel((0,) * n))
+                for c in iter_simplex(n, 2):
+                    rank = {alpha: k for k, alpha in enumerate(iter_simplex(n, 2 * d + sum(c)))}
+                    expected = [
+                        [rank[tuple(x + y + z for x, y, z in zip(a, b, c))] for b in idx.basis]
+                        for a in idx.basis
+                    ]
+                    assert idx.hankel(c).tolist() == expected
 
 
 class TestAdd:

@@ -1,0 +1,34 @@
+"""The demo scripts run end to end and print their headline lines."""
+
+import runpy
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def run_script(name, monkeypatch, capsys) -> list[str]:
+    monkeypatch.setattr(sys, "argv", [name])
+    runpy.run_path(str(SCRIPTS / name), run_name="__main__")
+    return capsys.readouterr().out.splitlines()
+
+
+def test_sweep_demo(monkeypatch, capsys):
+    lines = run_script("sweep_demo.py", monkeypatch, capsys)
+    assert lines[0] == "== 1 - X^2 on [-1, 1], l1 norm, eps schedule [1.0, 0.5, 0.25]"
+    assert lines[4] == "== X^2 on [-1, 1], l1 norm, eps schedule [1.0, 0.5, 0.25]"
+    rows = [line.split() for line in lines if line.startswith("  eps=")]
+    assert [row[1] for row in rows] == ["D=2"] * 6
+    assert [row[2] for row in rows] == ["distance=2.5", "distance=1.25", "distance=0.625"] * 2
+    assert [row[3] for row in rows] == ["[ok]"] * 6
+
+
+def test_pipeline_demo(monkeypatch, capsys):
+    lines = run_script("pipeline_demo.py", monkeypatch, capsys)
+    assert lines[0] == "weight r=2, box [-2, 2]"
+    assert lines[2] == "  hypothesis growing: False, psd: True"
+    assert lines[3].startswith("  recovery: success=True ")
+    assert lines[4] == "weight r=1, box [-1, 1]"
+    assert lines[5] == "  dual-norm profile by degree: [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]"
+    assert lines[6] == "  hypothesis growing: True, psd: True"
+    assert lines[7].startswith("  recovery: success=False ")
