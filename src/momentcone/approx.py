@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .measures import BoxSpec, box_from_weight
+from .measures import BoxSpec, _grid_points, box_from_weight
 from .norms import WeightSpec, weighted_norm
 from .polyring import (
     MultiIndex,
@@ -251,9 +251,7 @@ def screen_box_nonnegativity(
 
     if f.n != box.n:
         raise ValueError(f"dimension mismatch: {f.n} vs {box.n}")
-    axes = [np.linspace(lo, hi, grid_m) for lo, hi in zip(box.lower, box.upper)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([m.reshape(-1) for m in mesh], axis=1)
+    points = _grid_points(box, grid_m)
     values = _eval_on_points(f, points)
     worst = int(np.argmin(values))
     best_point = points[worst]
@@ -387,8 +385,8 @@ def convergence_sweep(
 ) -> tuple[ApproxReport, list[BoxApproxResult]]:
     """Run box_sos_approx along a decreasing eps schedule.
 
-    The box precondition is screened once up front; the per-eps runs follow
-    in schedule order.
+    The box precondition is screened once, by the run at the first eps; if f
+    is negative on the box that run's result is the only one returned.
     """
     schedule = [float(e) for e in eps_schedule]
     if not schedule:
@@ -396,33 +394,11 @@ def convergence_sweep(
     if any(b >= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("eps schedule must be strictly decreasing")
 
-    box = box_from_weight(w)
-    violation = screen_box_nonnegativity(
-        f,
-        box,
-        tol=kwargs.get("screen_tol", 1e-9),
-        grid_m=kwargs.get("screen_grid", 33),
-        starts=kwargs.get("screen_starts", 100),
-        seed=kwargs.get("seed", 0),
-    )
-    if violation is not None:
-        point, value = violation
-        failure = BoxApproxResult(
-            success=False,
-            reason="negative-on-box",
-            certificate=None,
-            factors=(),
-            distance=math.inf,
-            unit_distance=math.inf,
-            depth=0,
-            eps=schedule[0],
-            witness=point,
-            witness_value=value,
-        )
-        return ApproxReport((), w), [failure]
-
-    results = [
-        box_sos_approx(f, w, eps, d_max, skip_screening=True, **kwargs) for eps in schedule
+    first = box_sos_approx(f, w, schedule[0], d_max, **kwargs)
+    if first.reason == "negative-on-box":
+        return ApproxReport((), w), [first]
+    results = [first] + [
+        box_sos_approx(f, w, eps, d_max, skip_screening=True, **kwargs) for eps in schedule[1:]
     ]
 
     records = tuple(

@@ -441,7 +441,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, json.JSONDecodeError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, json.JSONDecodeError, ValueError, KeyError, TypeError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

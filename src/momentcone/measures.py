@@ -1,8 +1,10 @@
 """Atomic measures on boxes: moment generation and grid-based recovery.
 
 Recovery matches a truncated moment vector by nonnegative weights on a
-uniform grid inside the box; at desk scale that is enough to exhibit a
-representing measure whenever one exists.  The box itself is derived from
+uniform grid inside the box, solved exactly by the Lawson-Hanson active-set
+method; by Caratheodory's theorem the answer needs no more atoms than there
+are moments.  At desk scale that is enough to exhibit a representing measure
+whenever one with atoms on the grid exists.  The box itself is derived from
 the weight vector.
 """
 
@@ -15,7 +17,6 @@ from typing import Mapping
 import numpy as np
 
 from .moments import MomentSequence
-from .nnls import nnls_bb
 from .norms import WeightSpec
 from .polyring import MultiIndex, monomial_values, simplex_index
 
@@ -46,6 +47,8 @@ class AtomicMeasure:
             elif len(point) != dim:
                 raise ValueError("all atoms must share one dimension")
             weight = float(weight)
+            if not all(math.isfinite(v) for v in (*point, weight)):
+                raise ValueError(f"atom {point} with weight {weight} is not finite")
             if weight < 0.0:
                 raise ValueError(f"negative weight {weight}")
             merged[point] = merged.get(point, 0.0) + weight
@@ -142,30 +145,41 @@ def _grid_points(box: BoxSpec, grid_m: int) -> np.ndarray:
     return np.stack([m.reshape(-1) for m in mesh], axis=1)
 
 
-def _polish_support(a: np.ndarray, b: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Refit the discovered support by plain least squares.
+def _nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
+    """Lawson-Hanson active-set solution of min ||a x - b||_2 over x >= 0.
 
-    Gradient iterations smear a point mass over neighbouring grid columns;
-    refitting on the support (shrinking it while negative coefficients
-    appear) snaps the weights back.  Deterministic, and only ever adopted by
-    the caller when it lowers the residual.
+    Each step moves the column with the largest positive gradient entry (the
+    first on ties) into the passive set, solves least squares on the passive
+    columns, and steps back towards the previous iterate, dropping columns,
+    while a passive weight is non-positive.  The answer is exact on its
+    support, which has at most len(b) columns.  Returns (x, steps).
     """
-    support = list(np.flatnonzero(weights > SUPPORT_THRESHOLD))
-    best = weights
-    best_res = float(np.linalg.norm(a @ weights - b))
-    for _ in range(len(support)):
-        if not support:
+    m, n = a.shape
+    kkt_tol = 10.0 * np.finfo(float).eps * max(m, n) * float(np.abs(a).sum(axis=0).max())
+    x = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    steps = 0
+    while steps < 3 * n:  # cap against round-off cycling; exact arithmetic terminates
+        gradient = np.where(passive, -np.inf, a.T @ (b - a @ x))
+        j = int(np.argmax(gradient))
+        if gradient[j] <= kkt_tol:
             break
-        coeffs, *_ = np.linalg.lstsq(a[:, support], b, rcond=None)
-        if float(coeffs.min()) >= -1e-12:
-            candidate = np.zeros_like(weights)
-            candidate[support] = np.maximum(coeffs, 0.0)
-            res = float(np.linalg.norm(a @ candidate - b))
-            if res <= best_res:
-                return candidate
-            break
-        support.pop(int(np.argmin(coeffs)))
-    return best
+        steps += 1
+        passive[j] = True
+        while True:
+            z = np.zeros(n)
+            z[passive] = np.linalg.lstsq(a[:, passive], b, rcond=None)[0]
+            bad = np.flatnonzero(passive & (z <= 0.0))
+            if not bad.size:
+                break
+            # a bad column still at x = 0 allows no step (ratio 0, also when z = 0)
+            ratios = np.divide(x[bad], x[bad] - z[bad], out=np.zeros(bad.size), where=x[bad] > 0)
+            x += ratios.min() * (z - x)
+            x[bad[np.argmin(ratios)]] = 0.0
+            passive &= x > 0.0
+            x[~passive] = 0.0
+        x = z
+    return x, steps
 
 
 def recover_measure(
@@ -173,15 +187,16 @@ def recover_measure(
     box: BoxSpec,
     grid_m: int,
     tol: float = 1e-6,
-    max_iter: int = 20000,
 ) -> RecoveryResult:
     """Search for an atomic measure on a uniform box grid matching s.
 
     Solves min ||A w - s||_2 over w >= 0 where the columns of A are the
-    monomial vectors of the grid atoms, keeps the support with weight above
-    SUPPORT_THRESHOLD, and reports the residual of the kept support.  Failure
-    (residual above tol) signals a too-small box, too-coarse grid, or moments
-    that no measure on the box can produce.
+    monomial vectors of the grid atoms, by active-set steps (counted in
+    `iterations`) that end on the KKT conditions.  Keeps the support with
+    weight above SUPPORT_THRESHOLD, at most len(s.values) atoms, and reports
+    the residual of the kept support.  Failure (residual above tol) signals
+    a too-small box, too-coarse grid, or moments that no measure on the box
+    can produce.
 
     Internally the box is rescaled to the unit cube (moments pick up a factor
     c^-alpha), which keeps the monomial columns well conditioned on wide
@@ -202,12 +217,8 @@ def recover_measure(
 
     col_scale = np.linalg.norm(a_unit, axis=0)
     col_scale[col_scale == 0.0] = 1.0
-    y, _, iterations = nnls_bb(a_unit / col_scale, b_unit, max_iter=max_iter)
+    y, iterations = _nnls(a_unit / col_scale, b_unit)
     weights = y / col_scale
-
-    unit_residual = float(np.linalg.norm(a_unit @ weights - b_unit))
-    if unit_residual > 1e-10 * max(1.0, float(np.linalg.norm(b_unit))):
-        weights = _polish_support(a_unit, b_unit, weights)
 
     mask = weights > SUPPORT_THRESHOLD
     kept = weights[mask]

@@ -15,7 +15,14 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .norms import WeightSpec, dual_weight, weight_power
-from .polyring import MultiIndex, Polynomial, grlex_key, simplex_index, simplex_size
+from .polyring import (
+    MultiIndex,
+    Polynomial,
+    entries_by_exponent,
+    grlex_key,
+    simplex_index,
+    simplex_size,
+)
 
 
 @dataclass(frozen=True)
@@ -42,7 +49,10 @@ class MomentSequence:
                 raise ValueError(f"bad multi-index {key}")
             if sum(key) > self.max_degree:
                 raise ValueError(f"index {key} exceeds max_degree={self.max_degree}")
-            cleaned[key] = float(value)
+            value = float(value)
+            if not math.isfinite(value):
+                raise ValueError(f"moment value {value} at {key} is not finite")
+            cleaned[key] = value
         expected = simplex_size(self.n, self.max_degree)
         if len(cleaned) != expected:
             raise ValueError(
@@ -92,12 +102,7 @@ def moments_from_dict(data: dict) -> MomentSequence:
     """Parse the moment file format; the full simplex is required."""
     if not isinstance(data, dict) or not {"n", "max_degree", "values"} <= set(data):
         raise ValueError('moment JSON must be {"n": .., "max_degree": .., "values": [..]}')
-    values: dict[MultiIndex, float] = {}
-    for entry in data["values"]:
-        alpha = tuple(int(a) for a in entry["exp"])
-        if alpha in values:
-            raise ValueError(f"duplicate moment index {list(alpha)}")
-        values[alpha] = float(entry["s"])
+    values = entries_by_exponent(data["values"], "s")
     return MomentSequence(int(data["n"]), int(data["max_degree"]), values)
 
 

@@ -314,15 +314,25 @@ def poly_to_dict(f: Polynomial) -> dict:
     }
 
 
+def entries_by_exponent(entries, value_key: str) -> dict[MultiIndex, float]:
+    """Read JSON entries {"exp": [...], value_key: number} into a map.
+
+    Exponents must be integers (a 1.5 is rejected, not truncated), and each
+    may appear only once.
+    """
+    out: dict[MultiIndex, float] = {}
+    for entry in entries:
+        alpha = tuple(int(a) for a in entry["exp"])
+        if alpha != tuple(entry["exp"]):
+            raise ValueError(f"exponent {entry['exp']} is not a list of integers")
+        if alpha in out:
+            raise ValueError(f"duplicate exponent {list(alpha)}")
+        out[alpha] = float(entry[value_key])
+    return out
+
+
 def poly_from_dict(data: dict) -> Polynomial:
     """Parse the JSON polynomial format; duplicate exponents are an error."""
     if not isinstance(data, dict) or "n" not in data or "terms" not in data:
         raise ValueError('polynomial JSON must be {"n": int, "terms": [...]}')
-    n = int(data["n"])
-    terms: dict[MultiIndex, float] = {}
-    for entry in data["terms"]:
-        alpha = tuple(int(a) for a in entry["exp"])
-        if alpha in terms:
-            raise ValueError(f"duplicate exponent {list(alpha)} in polynomial file")
-        terms[alpha] = float(entry["coef"])
-    return Polynomial(n, terms)
+    return Polynomial(int(data["n"]), entries_by_exponent(data["terms"], "coef"))

@@ -11,6 +11,7 @@ from momentcone import (
     convergence_sweep,
     iter_simplex,
     poly_add,
+    poly_eval,
     poly_mul,
     poly_sub,
     screen_box_nonnegativity,
@@ -241,6 +242,18 @@ class TestConvergenceSweep:
         )
         distances = [rec.distance for rec in report.records]
         assert distances == pytest.approx([0.5, 0.25, 0.125], rel=1e-6)
+
+    def test_negative_on_box_stops_sweep(self):
+        report, results = convergence_sweep(
+            ONE_MINUS_XSQ, WeightSpec(1, (2.0,)), [1.0, 0.5], 2
+        )
+        assert report.records == ()
+        assert len(results) == 1
+        (res,) = results
+        assert res.reason == "negative-on-box"
+        assert res.eps == 1.0
+        assert res.witness_value == pytest.approx(poly_eval(ONE_MINUS_XSQ, res.witness))
+        assert res.witness_value < -1e-9
 
     def test_rejects_non_decreasing_schedule(self):
         with pytest.raises(ValueError):

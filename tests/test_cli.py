@@ -18,6 +18,8 @@ from momentcone import (
 )
 from momentcone.cli import main, render_json
 
+HUGE_INT = "1" + "0" * 400  # a JSON integer too large for a float
+
 
 @pytest.fixture
 def workdir(tmp_path):
@@ -94,6 +96,14 @@ class TestNormCommand:
         assert main(["norm", "--f", workdir["broken"], "--p", "2", "--r", "1"]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_fractional_exponent_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "poly.json"
+        path.write_text('{"n": 1, "terms": [{"exp": [1.5], "coef": 2.0}]}')
+        assert main(["norm", "--f", str(path), "--p", "1", "--r", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
 
 class TestEvalContCommand:
     def test_continuous_point(self, workdir, capsys):
@@ -118,7 +128,9 @@ class TestPsdCheckCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["pass"] is True
 
-    @pytest.mark.parametrize("literal", ["NaN", "-Infinity", "1e999"])
+    @pytest.mark.parametrize(
+        "literal", ["NaN", "-Infinity", "1e999", pytest.param(HUGE_INT, id="400-digits")]
+    )
     def test_non_finite_moment_exit_one(self, literal, tmp_path, capsys):
         path = tmp_path / "moments.json"
         path.write_text(
@@ -128,7 +140,19 @@ class TestPsdCheckCommand:
         assert main(["psd-check", "--moments", str(path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert literal in captured.err
+        assert captured.err.startswith("error:")
+        assert ("too large" if literal == HUGE_INT else literal) in captured.err
+
+    def test_fractional_exponent_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "moments.json"
+        path.write_text(
+            '{"n": 1, "max_degree": 2, "values": [{"exp": [0], "s": 1.0}, '
+            '{"exp": [1.7], "s": 0.0}, {"exp": [2], "s": 1.0}]}'
+        )
+        assert main(["psd-check", "--moments", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
 
     def test_fail_exit_two(self, workdir, capsys):
         assert main(["psd-check", "--moments", workdir["indefinite"], "--d", "1"]) == 2
@@ -325,11 +349,21 @@ class TestDeterminism:
         assert json.loads(out.read_text())["pass"] is True
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
+def test_cli_import_leaves_scipy_optimize_unloaded(workdir):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, momentcone.cli; print('scipy.optimize' in sys.modules)"
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    # neither the import nor a recover-measure job (the NNLS solve) loads scipy.optimize
+    code = (
+        "import sys, momentcone.cli\n"
+        "print('scipy.optimize' in sys.modules)\n"
+        "code = momentcone.cli.main(\n"
+        "    ['recover-measure', '--moments', sys.argv[1], '--p', '1', '--r', '1'])\n"
+        "print(code, 'scipy.optimize' in sys.modules)\n"
     )
-    assert done.stdout.strip() == "False"
+    done = subprocess.run(
+        [sys.executable, "-c", code, workdir["delta_half"]],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    lines = done.stdout.strip().splitlines()
+    assert lines[0] == "False"
+    assert lines[-1] == "0 False"

@@ -24,7 +24,7 @@ from momentcone import (
     recover_measure,
     verify_representation,
 )
-from momentcone.nnls import nnls_bb
+from momentcone.measures import _nnls
 from conftest import random_sparse_poly
 
 UNIT_BOX = BoxSpec((-1.0,), (1.0,))
@@ -40,6 +40,19 @@ class TestAtomicMeasure:
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             AtomicMeasure(((0.0,),), (-1.0,))
+
+    @pytest.mark.parametrize(
+        "atoms, weights",
+        [
+            (((math.nan,),), (1.0,)),
+            (((0.5, math.inf),), (1.0,)),
+            (((0.5,),), (math.nan,)),
+            (((0.5,),), (math.inf,)),
+        ],
+    )
+    def test_non_finite_rejected(self, atoms, weights):
+        with pytest.raises(ValueError, match="not finite"):
+            AtomicMeasure(atoms, weights)
 
     def test_mass(self):
         mu = AtomicMeasure(((0.1,), (0.2,)), (1.5, 2.5))
@@ -99,21 +112,21 @@ class TestNnlsSolver:
             n = int(rng.integers(2, 12))
             a = rng.standard_normal((m, n))
             b = rng.standard_normal(m)
-            x, res, _ = nnls_bb(a, b)
+            x, _ = _nnls(a, b)
             x_ref, res_ref = optimize.nnls(a, b)
             assert x.min() >= 0.0
-            assert res == pytest.approx(res_ref, rel=1e-6, abs=1e-8)
+            assert np.linalg.norm(a @ x - b) == pytest.approx(res_ref, rel=1e-6, abs=1e-8)
 
     def test_zero_rhs(self):
-        x, res, iters = nnls_bb(np.eye(3), np.zeros(3))
-        assert res == 0.0
+        x, steps = _nnls(np.eye(3), np.zeros(3))
+        assert steps == 0
         assert np.all(x == 0.0)
 
     def test_exact_nonnegative_solution(self, rng):
         a = rng.standard_normal((8, 4))
         truth = np.abs(rng.standard_normal(4))
-        x, res, _ = nnls_bb(a, a @ truth)
-        assert res <= 1e-8
+        x, _ = _nnls(a, a @ truth)
+        assert np.linalg.norm(a @ x - a @ truth) <= 1e-8
         assert x == pytest.approx(truth, rel=1e-6, abs=1e-8)
 
 
@@ -132,13 +145,25 @@ class TestRecoverMeasure:
         assert not result.success
         assert result.residual >= 0.1
 
-    def test_lebesgue_needs_many_atoms(self):
+    def test_lebesgue_needs_at_most_seven_atoms(self):
+        # 7 moments live in R^7, so a vertex solution has at most 7 atoms
+        # (Caratheodory).
         values = {(k,): (2.0 / (k + 1) if k % 2 == 0 else 0.0) for k in range(7)}
         s = MomentSequence(1, 6, values)
         result = recover_measure(s, UNIT_BOX, 101)
         assert result.success
         assert result.residual <= 1e-6
-        assert len(result.measure.atoms) > 10
+        assert len(result.measure.atoms) <= 7
+
+    def test_three_grid_atoms_recovered_exactly(self):
+        # the fixed recovery slot of the benchmark's recover deck
+        axis = np.linspace(-1.0, 1.0, 41)
+        atoms = tuple((float(axis[k]),) for k in (25, 19, 38))
+        mu = AtomicMeasure(atoms, (0.523, 1.602, 1.279))
+        result = recover_measure(moments_of_measure(mu, 6), UNIT_BOX, 41)
+        assert result.success
+        assert result.measure.atoms == mu.atoms
+        assert result.measure.weights == pytest.approx(mu.weights, rel=1e-9)
 
     def test_round_trip_on_grid(self, rng):
         for _ in range(10):

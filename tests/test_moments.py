@@ -50,6 +50,11 @@ class TestMomentSequence:
         with pytest.raises(ValueError):
             MomentSequence(1, 2, {(0,): 1.0, (2,): 1.0})
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_rejected(self, value):
+        with pytest.raises(ValueError, match="not finite"):
+            MomentSequence(1, 2, {(0,): 1.0, (1,): value, (2,): 1.0})
+
     def test_out_of_range_index_rejected(self):
         with pytest.raises(ValueError):
             MomentSequence(1, 1, {(0,): 1.0, (1,): 0.0, (2,): 1.0})
