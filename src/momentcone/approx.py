@@ -227,10 +227,28 @@ class BoxApproxResult:
     witness_value: float | None
 
 
-def _eval_on_points(f: Polynomial, points: np.ndarray) -> np.ndarray:
+def _value_and_gradient(f: Polynomial):
+    """A map from points (k, n) to [f, df/dx_1, ..., df/dx_n] as a (k, 1 + n) array.
+
+    d/dx_j of c X^E is c E_j X^max(E - e_j, 0), so every column is a
+    polynomial on f's exponents shifted by 0 or by a unit vector e_j: one
+    Vandermonde over the union of the shifted exponents times a
+    (terms x (1 + n)) coefficient matrix gives all 1 + n columns.
+    """
     terms = f.sorted_terms()
     exponents = np.array([alpha for alpha, _ in terms], dtype=np.int64).reshape(-1, f.n)
-    return monomial_values(points, exponents) @ np.array([coef for _, coef in terms])
+    coefs = np.array([coef for _, coef in terms])
+    shifts = np.vstack([np.zeros(f.n, dtype=np.int64), np.eye(f.n, dtype=np.int64)])
+    stacked = np.maximum(exponents - shifts[:, None, :], 0).reshape(-1, f.n)
+    factors = np.column_stack([np.ones(len(terms)), exponents]).T * coefs
+    union, rows = np.unique(stacked, axis=0, return_inverse=True)
+    matrix = np.zeros((len(union), 1 + f.n))
+    np.add.at(matrix, (rows.ravel(), np.repeat(np.arange(1 + f.n), len(terms))), factors.ravel())
+    return lambda points: monomial_values(points, union) @ matrix
+
+
+_SCREEN_STEPS = 200
+_ARMIJO = 1e-4
 
 
 def screen_box_nonnegativity(
@@ -243,34 +261,39 @@ def screen_box_nonnegativity(
 ):
     """Look for a point of the box where f dips below -tol.
 
-    Dense grid sampling followed by seeded multistart local minimization;
-    returns (point, value) for the worst violation found, or None.  Absence of
-    a violation is evidence, not proof.
+    A grid pass over grid_m points per axis, then a batched projected
+    gradient descent: `starts` seeded uniform points move together for a fixed
+    number of steps, each clipping x - t grad f(x) to the box under a
+    per-start Armijo rule (t halves on rejection and doubles on acceptance).
+    Returns (point, value) for the lowest point found, with the value
+    evaluated by poly_eval, or None.  Absence of a violation is evidence, not
+    proof.
     """
-    from scipy import optimize  # imported here only: it dominates CLI start-up
-
     if f.n != box.n:
         raise ValueError(f"dimension mismatch: {f.n} vs {box.n}")
-    points = _grid_points(box, grid_m)
-    values = _eval_on_points(f, points)
-    worst = int(np.argmin(values))
-    best_point = points[worst]
-    best_value = float(values[worst])
-
-    rng = np.random.default_rng(seed)
-    bounds = list(zip(box.lower, box.upper))
+    evaluate = _value_and_gradient(f)
+    grid = _grid_points(box, grid_m)
     lows = np.array(box.lower)
     highs = np.array(box.upper)
-    for _ in range(starts):
-        x0 = rng.uniform(lows, highs)
-        result = optimize.minimize(
-            lambda z: poly_eval(f, z), x0, method="L-BFGS-B", bounds=bounds
-        )
-        if float(result.fun) < best_value:
-            best_value = float(result.fun)
-            best_point = np.asarray(result.x)
-    if best_value < -tol:
-        return tuple(float(v) for v in best_point), best_value
+
+    x = np.random.default_rng(seed).uniform(lows, highs, size=(starts, f.n))
+    vg = evaluate(x)
+    step = np.ones(starts)
+    for _ in range(_SCREEN_STEPS):
+        trial = np.clip(x - step[:, None] * vg[:, 1:], lows, highs)
+        trial_vg = evaluate(trial)
+        decrease = np.sum(vg[:, 1:] * (trial - x), axis=1)
+        accept = trial_vg[:, 0] <= vg[:, 0] + _ARMIJO * decrease
+        x[accept] = trial[accept]
+        vg[accept] = trial_vg[accept]
+        step = np.where(accept, 2.0 * step, 0.5 * step)
+
+    points = np.concatenate([grid, x])
+    values = np.concatenate([evaluate(grid)[:, 0], vg[:, 0]])
+    witness = tuple(float(v) for v in points[int(np.argmin(values))])
+    value = poly_eval(f, witness)
+    if value < -tol:
+        return witness, value
     return None
 
 

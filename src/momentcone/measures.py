@@ -47,11 +47,12 @@ class AtomicMeasure:
             elif len(point) != dim:
                 raise ValueError("all atoms must share one dimension")
             weight = float(weight)
-            if not all(math.isfinite(v) for v in (*point, weight)):
-                raise ValueError(f"atom {point} with weight {weight} is not finite")
+            total = merged.get(point, 0.0) + weight  # duplicates can overflow
+            if not all(math.isfinite(v) for v in (*point, total)):
+                raise ValueError(f"atom {point} with weight {total} is not finite")
             if weight < 0.0:
                 raise ValueError(f"negative weight {weight}")
-            merged[point] = merged.get(point, 0.0) + weight
+            merged[point] = total
         pairs = sorted((p, w) for p, w in merged.items() if w != 0.0)
         object.__setattr__(self, "atoms", tuple(p for p, _ in pairs))
         object.__setattr__(self, "weights", tuple(w for _, w in pairs))

@@ -20,6 +20,7 @@ from .polyring import (
     Polynomial,
     entries_by_exponent,
     grlex_key,
+    integer_field,
     simplex_index,
     simplex_size,
 )
@@ -103,7 +104,8 @@ def moments_from_dict(data: dict) -> MomentSequence:
     if not isinstance(data, dict) or not {"n", "max_degree", "values"} <= set(data):
         raise ValueError('moment JSON must be {"n": .., "max_degree": .., "values": [..]}')
     values = entries_by_exponent(data["values"], "s")
-    return MomentSequence(int(data["n"]), int(data["max_degree"]), values)
+    n = integer_field(data["n"], "n")
+    return MomentSequence(n, integer_field(data["max_degree"], "max_degree"), values)
 
 
 def apply_functional(s: MomentSequence, f: Polynomial) -> float:

@@ -95,9 +95,24 @@ def simplex_index(n: int, degree: int) -> SimplexIndex:
 
 
 def monomial_values(points, exponents) -> np.ndarray:
-    """The Vandermonde V[k, i] = prod_j points[k, j] ** exponents[i, j]."""
+    """The Vandermonde V[k, i] = prod_j points[k, j] ** exponents[i, j].
+
+    No float power is taken: a power table holds x^0, x^1, ..., x^deg of every
+    coordinate as running products (np.cumprod), and each column of V is a
+    product of n gathers from it.  A power x^e is thus a chain of e - 1
+    multiplications and carries at most e - 1 roundings.
+    """
     points = np.asarray(points, dtype=float)
-    return np.prod(points[:, None, :] ** np.asarray(exponents), axis=2)
+    exponents = np.asarray(exponents, dtype=np.int64)
+    n = points.shape[1]
+    powers = np.empty((n, int(exponents.max(initial=0)) + 1, len(points)))
+    powers[:, 0] = 1.0
+    powers[:, 1:] = points.T[:, None, :]
+    np.cumprod(powers, axis=1, out=powers)  # powers[j, e, k] = points[k, j] ** e
+    values = powers[0, exponents[:, 0]]
+    for j in range(1, n):
+        values = values * powers[j, exponents[:, j]]
+    return values.T
 
 
 def _canonical(n: int, terms: Mapping[MultiIndex, float]) -> dict[MultiIndex, float]:
@@ -112,6 +127,8 @@ def _canonical(n: int, terms: Mapping[MultiIndex, float]) -> dict[MultiIndex, fl
         if any(a < 0 for a in key):
             raise ValueError(f"negative exponent in {key}")
         value = float(coef)
+        if not math.isfinite(value):
+            raise ValueError(f"coefficient {value} at {key} is not finite")
         if value != 0.0:
             staged[key] = value
     return staged
@@ -314,17 +331,24 @@ def poly_to_dict(f: Polynomial) -> dict:
     }
 
 
+def integer_field(value, name: str) -> int:
+    """A JSON number that must be an integer: 2.0 reads as 2; 1.9 is rejected,
+    not truncated, and so is true."""
+    out = int(value)
+    if out != value or isinstance(value, bool):
+        raise ValueError(f"{name} {value!r} is not an integer")
+    return out
+
+
 def entries_by_exponent(entries, value_key: str) -> dict[MultiIndex, float]:
     """Read JSON entries {"exp": [...], value_key: number} into a map.
 
-    Exponents must be integers (a 1.5 is rejected, not truncated), and each
-    may appear only once.
+    Exponents must be integers (see integer_field), and each may appear only
+    once.
     """
     out: dict[MultiIndex, float] = {}
     for entry in entries:
-        alpha = tuple(int(a) for a in entry["exp"])
-        if alpha != tuple(entry["exp"]):
-            raise ValueError(f"exponent {entry['exp']} is not a list of integers")
+        alpha = tuple(integer_field(a, "exponent") for a in entry["exp"])
         if alpha in out:
             raise ValueError(f"duplicate exponent {list(alpha)}")
         out[alpha] = float(entry[value_key])
@@ -335,4 +359,4 @@ def poly_from_dict(data: dict) -> Polynomial:
     """Parse the JSON polynomial format; duplicate exponents are an error."""
     if not isinstance(data, dict) or "n" not in data or "terms" not in data:
         raise ValueError('polynomial JSON must be {"n": int, "terms": [...]}')
-    return Polynomial(int(data["n"]), entries_by_exponent(data["terms"], "coef"))
+    return Polynomial(integer_field(data["n"], "n"), entries_by_exponent(data["terms"], "coef"))

@@ -25,6 +25,8 @@ from conftest import random_sparse_poly
 
 X = Polynomial.variable(1, 0)
 ONE_MINUS_XSQ = Polynomial(1, {(0,): 1.0, (2,): -1.0})
+UNIT_BOX = BoxSpec((-1.0,), (1.0,))
+SQUARE = BoxSpec((-1.0, -1.0), (1.0, 1.0))
 
 
 class TestSqrtSquareApprox:
@@ -165,6 +167,61 @@ class TestScreening:
         point, value = hit
         assert value < -1e-9
         assert abs(point[0]) > 1.0
+
+    @pytest.mark.parametrize(
+        "f, box, minimum",
+        [
+            (ONE_MINUS_XSQ, BoxSpec((-2.0,), (2.0,)), -3.0),
+            (Polynomial(2, {(0, 0): 1.0, (2, 0): -1.0, (0, 2): -1.0}), SQUARE, -1.0),
+            (Polynomial(2, {(2, 0): 1.0, (0, 2): -1.0}), SQUARE, -1.0),
+            # the quartic of ROADMAP item 2: nonnegative on the square
+            (
+                Polynomial(
+                    2,
+                    {(0, 0): 1.0, (2, 0): -0.5, (0, 2): -0.5, (4, 0): 1.0, (0, 4): 1.0, (2, 2): 0.3},
+                ),
+                SQUARE,
+                None,
+            ),
+        ],
+        ids=["1-x^2 on [-2,2]", "1-x1^2-x2^2", "saddle", "quartic"],
+    )
+    def test_verdicts(self, f, box, minimum):
+        hit = screen_box_nonnegativity(f, box)
+        if minimum is None:
+            assert hit is None
+        else:
+            assert hit is not None
+            assert hit[1] == pytest.approx(minimum, abs=1e-9)
+
+    def test_off_grid_dip_found_by_descent(self):
+        # negative only on |x - 0.0157| < 0.00316, which no point of the
+        # 33-point grid (spacing 0.0625) hits
+        f = Polynomial(1, {(0,): 0.0157**2 - 1e-5, (1,): -2 * 0.0157, (2,): 1.0})
+        grid = np.linspace(-1.0, 1.0, 33)
+        assert min(poly_eval(f, (x,)) for x in grid) > 0.0
+        hit = screen_box_nonnegativity(f, UNIT_BOX, grid_m=33)
+        assert hit is not None
+        assert hit[0][0] == pytest.approx(0.0157, abs=1e-6)
+        assert hit[1] == pytest.approx(-1e-5, rel=1e-6)
+
+    def test_witness_in_box_with_exact_value(self):
+        f = Polynomial(2, {(0, 0): 0.2, (1, 1): -3.0, (3, 0): 1.0, (0, 4): -0.5})
+        box = BoxSpec((-0.5, -1.5), (0.5, 1.5))
+        point, value = screen_box_nonnegativity(f, box)
+        assert all(lo <= x <= hi for x, lo, hi in zip(point, box.lower, box.upper))
+        assert value == poly_eval(f, point)
+
+    def test_same_seed_same_result(self):
+        f = Polynomial(2, {(0, 0): 0.1, (2, 0): -1.0, (1, 2): 0.7, (0, 3): 1.0})
+        box = BoxSpec((-1.0, -0.5), (1.0, 0.5))
+        first = screen_box_nonnegativity(f, box, seed=7)
+        assert first is not None
+        assert screen_box_nonnegativity(f, box, seed=7) == first
+
+    def test_dimension_mismatch_raises(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            screen_box_nonnegativity(ONE_MINUS_XSQ, SQUARE)
 
 
 class TestBoxSosApprox:

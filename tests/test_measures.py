@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize
 
 from momentcone import (
@@ -28,6 +30,18 @@ from momentcone.measures import _nnls
 from conftest import random_sparse_poly
 
 UNIT_BOX = BoxSpec((-1.0,), (1.0,))
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+def _atoms(n):
+    coordinate = st.floats(allow_nan=False, allow_infinity=False)
+    weight = st.floats(min_value=0.0, max_value=1e300)
+    return st.lists(st.tuples(st.tuples(*[coordinate] * n), weight), min_size=1, max_size=5)
+
+
+# up to five finite (atom, weight) pairs in 1-3 variables; the weights stay far
+# enough from the float limit that merging duplicates cannot overflow
+ATOM_PAIRS = st.integers(1, 3).flatmap(_atoms)
 INDEFINITE = MomentSequence(1, 2, {(0,): 1.0, (1,): 0.0, (2,): -1.0})
 
 
@@ -48,11 +62,29 @@ class TestAtomicMeasure:
             (((0.5, math.inf),), (1.0,)),
             (((0.5,),), (math.nan,)),
             (((0.5,),), (math.inf,)),
+            (((0.5,), (0.5,)), (1e308, 1e308)),  # merged weight overflows
         ],
     )
     def test_non_finite_rejected(self, atoms, weights):
         with pytest.raises(ValueError, match="not finite"):
             AtomicMeasure(atoms, weights)
+
+    @settings(max_examples=60, deadline=None)
+    @given(ATOM_PAIRS)
+    def test_finite_input_accepted(self, pairs):
+        mu = AtomicMeasure(*zip(*pairs))
+        assert mu.mass == pytest.approx(math.fsum(w for _, w in pairs))
+        assert all(math.isfinite(v) for atom in mu.atoms for v in atom)
+
+    @settings(max_examples=60, deadline=None)
+    @given(ATOM_PAIRS, st.data(), NON_FINITE)
+    def test_one_non_finite_entry_rejected(self, pairs, data, bad):
+        entries = [[*atom, weight] for atom, weight in pairs]
+        row = data.draw(st.integers(0, len(entries) - 1))
+        col = data.draw(st.integers(0, len(entries[0]) - 1))
+        entries[row][col] = bad
+        with pytest.raises(ValueError, match="not finite"):
+            AtomicMeasure([e[:-1] for e in entries], [e[-1] for e in entries])
 
     def test_mass(self):
         mu = AtomicMeasure(((0.1,), (0.2,)), (1.5, 2.5))

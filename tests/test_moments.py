@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momentcone import (
     AtomicMeasure,
@@ -14,6 +16,7 @@ from momentcone import (
     dual_norm_profile,
     increments_growing,
     is_psd_functional,
+    iter_simplex,
     localized_moment_matrix,
     min_eigenvalue,
     moment_matrix,
@@ -22,10 +25,14 @@ from momentcone import (
     moments_to_dict,
     poly_eval,
     poly_mul,
+    simplex_size,
     weighted_norm,
 )
 from momentcone.approx import _psd_project
 from conftest import random_sparse_poly
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 
 
 def lebesgue_moments(max_degree: int) -> MomentSequence:
@@ -54,6 +61,23 @@ class TestMomentSequence:
     def test_non_finite_value_rejected(self, value):
         with pytest.raises(ValueError, match="not finite"):
             MomentSequence(1, 2, {(0,): 1.0, (1,): value, (2,): 1.0})
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3), st.integers(0, 3), st.data())
+    def test_finite_values_accepted(self, n, d, data):
+        size = simplex_size(n, d)
+        values = data.draw(st.lists(FINITE, min_size=size, max_size=size))
+        s = MomentSequence(n, d, dict(zip(iter_simplex(n, d), values)))
+        assert s.vector().tolist() == values
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3), st.integers(0, 3), st.data(), NON_FINITE)
+    def test_one_non_finite_value_rejected(self, n, d, data, bad):
+        size = simplex_size(n, d)
+        values = data.draw(st.lists(FINITE, min_size=size, max_size=size))
+        values[data.draw(st.integers(0, size - 1))] = bad
+        with pytest.raises(ValueError, match="not finite"):
+            MomentSequence(n, d, dict(zip(iter_simplex(n, d), values)))
 
     def test_out_of_range_index_rejected(self):
         with pytest.raises(ValueError):

@@ -31,6 +31,8 @@ from conftest import (
 
 X = Polynomial.variable(1, 0)
 X1 = Polynomial.variable(2, 0)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 X2 = Polynomial.variable(2, 1)
 
 
@@ -273,6 +275,22 @@ class TestCanonicalForm:
 
     def test_zero_degree_convention(self):
         assert Polynomial.zero(3).degree == -1
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.dictionaries(exponents_strategy(2), FINITE, max_size=6))
+    def test_finite_coefficients_accepted(self, terms):
+        f = Polynomial(2, terms)
+        assert dict(f.terms) == {a: c for a, c in terms.items() if c != 0.0}
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.dictionaries(exponents_strategy(2), FINITE, max_size=6),
+        exponents_strategy(2),
+        NON_FINITE,
+    )
+    def test_non_finite_coefficient_rejected(self, terms, alpha, bad):
+        with pytest.raises(ValueError, match="not finite"):
+            Polynomial(2, {**terms, alpha: bad})
 
 
 class TestJsonFormat:
