@@ -114,6 +114,13 @@ class SosCertificate:
         self.gram.setflags(write=False)
 
 
+def _sum_of_squares(n: int, factors: Sequence[Polynomial]) -> Polynomial:
+    total = Polynomial.zero(n)
+    for h in factors:
+        total = poly_add(total, poly_mul(h, h))
+    return total
+
+
 def _psd_project(mat: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(mat)
     clipped = np.maximum(w, 0.0)
@@ -138,6 +145,8 @@ def sos_certify(
     """
     if d < 0:
         raise ValueError("basis degree must be >= 0")
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
     if f.degree > 2 * d:
         raise ValueError(f"degree {f.degree} exceeds Gram capacity {2 * d}")
     idx = simplex_index(f.n, d)
@@ -179,9 +188,7 @@ def sos_certify(
                 root = math.sqrt(float(w[k]))
                 coeffs = {basis[j]: root * float(v[j, k]) for j in range(m)}
                 factors.append(Polynomial(f.n, coeffs))
-        reproduced = Polynomial.zero(f.n)
-        for h in factors:
-            reproduced = poly_add(reproduced, poly_mul(h, h))
+        reproduced = _sum_of_squares(f.n, factors)
         residual = max(
             abs(reproduced.coefficient(a) - f.coefficient(a)) for a in monomials
         )
@@ -215,16 +222,19 @@ def square_perturbation(n: int, depth: int) -> Polynomial:
 
 @dataclass(frozen=True)
 class BoxApproxResult:
-    success: bool
     reason: str  # "certified" | "negative-on-box" | "inconclusive"
-    certificate: SosCertificate | None
-    factors: tuple[Polynomial, ...]  # rescaled back to the original axes
-    distance: float  # ||f - sum factors^2||_{p,r}
-    unit_distance: float  # same gap in the unweighted lp norm on the unit box
-    depth: int
     eps: float
-    witness: tuple[float, ...] | None
-    witness_value: float | None
+    certificate: SosCertificate | None = None
+    factors: tuple[Polynomial, ...] = ()  # rescaled back to the original axes
+    distance: float = math.inf  # ||f - sum factors^2||_{p,r}
+    unit_distance: float = math.inf  # same gap in the unweighted lp norm on the unit box
+    depth: int = 0
+    witness: tuple[float, ...] | None = None
+    witness_value: float | None = None
+
+    @property
+    def success(self) -> bool:
+        return self.reason == "certified"
 
 
 def _value_and_gradient(f: Polynomial):
@@ -247,22 +257,18 @@ def _value_and_gradient(f: Polynomial):
     return lambda points: monomial_values(points, union) @ matrix
 
 
+_SCREEN_TOL = 1e-9
+_SCREEN_GRID = 33
+_SCREEN_STARTS = 100
 _SCREEN_STEPS = 200
 _ARMIJO = 1e-4
 
 
-def screen_box_nonnegativity(
-    f: Polynomial,
-    box: BoxSpec,
-    tol: float = 1e-9,
-    grid_m: int = 33,
-    starts: int = 100,
-    seed: int = 0,
-):
-    """Look for a point of the box where f dips below -tol.
+def screen_box_nonnegativity(f: Polynomial, box: BoxSpec, seed: int = 0):
+    """Look for a point of the box where f dips below -1e-9.
 
-    A grid pass over grid_m points per axis, then a batched projected
-    gradient descent: `starts` seeded uniform points move together for a fixed
+    A grid pass over 33 points per axis, then a batched projected
+    gradient descent: 100 seeded uniform points move together for a fixed
     number of steps, each clipping x - t grad f(x) to the box under a
     per-start Armijo rule (t halves on rejection and doubles on acceptance).
     Returns (point, value) for the lowest point found, with the value
@@ -272,13 +278,13 @@ def screen_box_nonnegativity(
     if f.n != box.n:
         raise ValueError(f"dimension mismatch: {f.n} vs {box.n}")
     evaluate = _value_and_gradient(f)
-    grid = _grid_points(box, grid_m)
+    grid = _grid_points(box, _SCREEN_GRID)
     lows = np.array(box.lower)
     highs = np.array(box.upper)
 
-    x = np.random.default_rng(seed).uniform(lows, highs, size=(starts, f.n))
+    x = np.random.default_rng(seed).uniform(lows, highs, size=(_SCREEN_STARTS, f.n))
     vg = evaluate(x)
-    step = np.ones(starts)
+    step = np.ones(_SCREEN_STARTS)
     for _ in range(_SCREEN_STEPS):
         trial = np.clip(x - step[:, None] * vg[:, 1:], lows, highs)
         trial_vg = evaluate(trial)
@@ -292,7 +298,7 @@ def screen_box_nonnegativity(
     values = np.concatenate([evaluate(grid)[:, 0], vg[:, 0]])
     witness = tuple(float(v) for v in points[int(np.argmin(values))])
     value = poly_eval(f, witness)
-    if value < -tol:
+    if value < -_SCREEN_TOL:
         return witness, value
     return None
 
@@ -304,9 +310,6 @@ def box_sos_approx(
     d_max: int,
     tol: float = 1e-8,
     max_iters: int = 5000,
-    screen_tol: float = 1e-9,
-    screen_grid: int = 33,
-    screen_starts: int = 100,
     seed: int = 0,
     skip_screening: bool = False,
 ) -> BoxApproxResult:
@@ -333,23 +336,10 @@ def box_sos_approx(
         raise ValueError("d_max must be >= 2")
     box = box_from_weight(w)
     if not skip_screening:
-        violation = screen_box_nonnegativity(
-            f, box, tol=screen_tol, grid_m=screen_grid, starts=screen_starts, seed=seed
-        )
+        violation = screen_box_nonnegativity(f, box, seed=seed)
         if violation is not None:
             point, value = violation
-            return BoxApproxResult(
-                success=False,
-                reason="negative-on-box",
-                certificate=None,
-                factors=(),
-                distance=math.inf,
-                unit_distance=math.inf,
-                depth=0,
-                eps=eps,
-                witness=point,
-                witness_value=value,
-            )
+            return BoxApproxResult("negative-on-box", eps, witness=point, witness_value=value)
 
     halfwidths = box.upper
     f_unit = axis_scale(f, halfwidths)
@@ -362,41 +352,18 @@ def box_sos_approx(
         certificate = sos_certify(candidate, gram_degree, tol=tol, max_iters=max_iters)
         last_certificate = certificate
         if certificate.success:
-            scaled = tuple(axis_scale(h, inverse) for h in certificate.factors)
-            total_scaled = Polynomial.zero(f.n)
-            for h in scaled:
-                total_scaled = poly_add(total_scaled, poly_mul(h, h))
-            total_unit = Polynomial.zero(f.n)
-            for h in certificate.factors:
-                total_unit = poly_add(total_unit, poly_mul(h, h))
-            distance = weighted_norm(poly_sub(f, total_scaled), w)
+            # squares of the rescaled factors, not the rescaled unit-box sum:
+            # the two differ at round-off whenever the box is not [-1, 1]^n
+            factors = tuple(axis_scale(h, inverse) for h in certificate.factors)
+            distance = weighted_norm(poly_sub(f, _sum_of_squares(f.n, factors)), w)
             unit_distance = weighted_norm(
-                poly_sub(f_unit, total_unit), WeightSpec(w.p, ones)
+                poly_sub(f_unit, _sum_of_squares(f.n, certificate.factors)),
+                WeightSpec(w.p, ones),
             )
             return BoxApproxResult(
-                success=True,
-                reason="certified",
-                certificate=certificate,
-                factors=scaled,
-                distance=distance,
-                unit_distance=unit_distance,
-                depth=depth,
-                eps=eps,
-                witness=None,
-                witness_value=None,
+                "certified", eps, certificate, factors, distance, unit_distance, depth
             )
-    return BoxApproxResult(
-        success=False,
-        reason="inconclusive",
-        certificate=last_certificate,
-        factors=(),
-        distance=math.inf,
-        unit_distance=math.inf,
-        depth=0,
-        eps=eps,
-        witness=None,
-        witness_value=None,
-    )
+    return BoxApproxResult("inconclusive", eps, certificate=last_certificate)
 
 
 def convergence_sweep(

@@ -5,7 +5,7 @@ throughout.  Output is deterministic: fixed seed, fixed key order, floats
 rendered with 17 significant digits so every value round-trips exactly.
 
 Exit codes: 0 when all requested checks pass, 2 when a check fails, 1 for
-I/O or parse errors.
+I/O or parse errors and for numeric flags that are not finite or out of range.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 
 from . import __version__
 from .approx import box_sos_approx, coefficientwise_report, sqrt_square_approx
@@ -27,7 +26,6 @@ from .measures import (
 )
 from .moments import (
     check_quadratic_module,
-    dual_norm_of_moments,
     dual_norm_profile,
     increments_growing,
     is_psd_functional,
@@ -86,28 +84,10 @@ def format_norm(value: float) -> str:
     return format(value, ".12g")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated bundle of everything a subcommand run depends on."""
-
-    subcommand: str
-    inputs: tuple[str, ...] = ()
-    weight: WeightSpec | None = None
-    degree: int | None = None
-    i_max: int | None = None
-    d_max: int | None = None
-    tolerance: float | None = None
-    eps: float | None = None
-    ball_bound: float | None = None
-    grid: int | None = None
-    out: str | None = None
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.tolerance is not None and self.tolerance <= 0.0:
-            raise ValueError("tolerance must be > 0")
-        if self.grid is not None and self.grid < 2:
-            raise ValueError("grid must be >= 2")
+def _tolerance(value: float | None) -> float | None:
+    if value is not None and not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"tolerance must be finite and > 0, got {value}")
+    return value
 
 
 def _parse_weight(args) -> WeightSpec:
@@ -118,7 +98,7 @@ def _parse_weight(args) -> WeightSpec:
 def _finite_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
-        raise ValueError(f"non-finite number {text} in JSON input")
+        raise ValueError(f"non-finite number {text}")
     return value
 
 
@@ -135,56 +115,56 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _psd_report(s, d: int | None, tol: float | None) -> dict:
+    """The degree-d moment-matrix check shared by psd-check and pipeline."""
+    d = d if d is not None else s.max_degree // 2
+    eig = min_eigenvalue(moment_matrix(s, d))
+    return {"d": d, "min_eigenvalue": eig, "pass": is_psd_functional(s, d, tol)}
+
+
+def _recovery_report(s, w: WeightSpec, grid: int, tol: float):
+    """Recovery on the box of w, shared by recover-measure and pipeline:
+    the result and its atoms, weights, residual and box."""
+    box = box_from_weight(w)
+    result = recover_measure(s, box, grid, tol=tol)
+    return result, {
+        "atoms": [list(p) for p in result.measure.atoms],
+        "weights": list(result.measure.weights),
+        "residual": result.residual,
+        "box": {"lower": list(box.lower), "upper": list(box.upper)},
+    }
+
+
 def _cmd_norm(args) -> int:
-    cfg = RunConfig("norm", inputs=(args.f,), weight=_parse_weight(args), out=args.out)
+    w = _parse_weight(args)
     f = poly_from_dict(_load_json(args.f))
-    value = weighted_norm(f, cfg.weight)
-    _emit(format_norm(value) + "\n", cfg.out)
+    _emit(format_norm(weighted_norm(f, w)) + "\n", args.out)
     return 0
 
 
 def _cmd_eval_cont(args) -> int:
-    cfg = RunConfig("eval-cont", weight=_parse_weight(args), out=args.out)
-    x = tuple(float(v) for v in str(args.x).split(","))
-    value = eval_sequence_norm(x, cfg.weight)
+    w = _parse_weight(args)
+    x = tuple(_finite_float(v) for v in str(args.x).split(","))
+    value = eval_sequence_norm(x, w)
     continuous = math.isfinite(value)
     verdict = "continuous" if continuous else "not continuous"
-    _emit(f"{verdict}, dual_norm={format_norm(value)}\n", cfg.out)
+    _emit(f"{verdict}, dual_norm={format_norm(value)}\n", args.out)
     return 0 if continuous else 2
 
 
 def _cmd_psd_check(args) -> int:
-    cfg = RunConfig(
-        "psd-check", inputs=(args.moments,), degree=args.d, tolerance=args.tol, out=args.out
-    )
+    tol = _tolerance(args.tol)
     s = moments_from_dict(_load_json(args.moments))
-    d = cfg.degree if cfg.degree is not None else s.max_degree // 2
-    mat = moment_matrix(s, d)
-    eig = min_eigenvalue(mat)
-    passed = is_psd_functional(s, d, cfg.tolerance)
-    report = {
-        "n": s.n,
-        "max_degree": s.max_degree,
-        "d": d,
-        "min_eigenvalue": eig,
-        "pass": passed,
-    }
-    _emit(render_json(report), cfg.out)
-    return 0 if passed else 2
+    report = {"n": s.n, "max_degree": s.max_degree, **_psd_report(s, args.d, tol)}
+    _emit(render_json(report), args.out)
+    return 0 if report["pass"] else 2
 
 
 def _cmd_qm_check(args) -> int:
-    cfg = RunConfig(
-        "qm-check",
-        inputs=tuple([args.moments] + (args.g or [])),
-        degree=args.d,
-        tolerance=args.tol,
-        ball_bound=args.N,
-        out=args.out,
-    )
+    tol = _tolerance(args.tol)
     s = moments_from_dict(_load_json(args.moments))
-    generators = [poly_from_dict(_load_json(path)) for path in (args.g or [])]
-    result = check_quadratic_module(s, generators, cfg.ball_bound, cfg.degree, cfg.tolerance)
+    generators = [poly_from_dict(_load_json(path)) for path in args.g]
+    result = check_quadratic_module(s, generators, args.N, args.d, tol)
     report = {
         "d": result.degree,
         "N": result.ball_bound,
@@ -194,12 +174,11 @@ def _cmd_qm_check(args) -> int:
         ],
         "pass": result.passed,
     }
-    _emit(render_json(report), cfg.out)
+    _emit(render_json(report), args.out)
     return 0 if result.passed else 2
 
 
 def _cmd_sqrt_approx(args) -> int:
-    cfg = RunConfig("sqrt-approx", inputs=(args.f,), i_max=args.i, out=args.out)
     f = poly_from_dict(_load_json(args.f))
     if f.constant_term < 0.0:
         _emit(
@@ -209,13 +188,13 @@ def _cmd_sqrt_approx(args) -> int:
                     "error": "f(0) < 0: not a coefficientwise limit of squares",
                 }
             ),
-            cfg.out,
+            args.out,
         )
         return 2
-    h = sqrt_square_approx(f, cfg.i_max)
-    report_obj = coefficientwise_report(f, cfg.i_max)
+    h = sqrt_square_approx(f, args.i)
+    report_obj = coefficientwise_report(f, args.i)
     report = {
-        "i": cfg.i_max,
+        "i": args.i,
         "h": poly_to_dict(h),
         "errors": [
             {"i": rec.step, "max_coefficient_error": rec.distance}
@@ -223,30 +202,22 @@ def _cmd_sqrt_approx(args) -> int:
         ],
         "pass": True,
     }
-    _emit(render_json(report), cfg.out)
+    _emit(render_json(report), args.out)
     return 0
 
 
 def _cmd_sos_approx(args) -> int:
-    cfg = RunConfig(
-        "sos-approx",
-        inputs=(args.f,),
-        weight=_parse_weight(args),
-        eps=args.eps,
-        d_max=args.dmax,
-        tolerance=args.tol,
-        seed=args.seed,
-        out=args.out,
-    )
+    w = _parse_weight(args)
+    tol = _tolerance(args.tol)
     f = poly_from_dict(_load_json(args.f))
     result = box_sos_approx(
         f,
-        cfg.weight,
-        cfg.eps,
-        cfg.d_max,
-        tol=cfg.tolerance if cfg.tolerance is not None else 1e-8,
+        w,
+        args.eps,
+        args.dmax,
+        tol=tol if tol is not None else 1e-8,
         max_iters=args.max_iters,
-        seed=cfg.seed,
+        seed=args.seed,
     )
     report = {
         "success": result.success,
@@ -261,91 +232,58 @@ def _cmd_sos_approx(args) -> int:
         "witness": list(result.witness) if result.witness is not None else None,
         "witness_value": result.witness_value,
     }
-    _emit(render_json(report), cfg.out)
+    _emit(render_json(report), args.out)
     return 0 if result.success else 2
 
 
 def _cmd_recover_measure(args) -> int:
-    cfg = RunConfig(
-        "recover-measure",
-        inputs=(args.moments,),
-        weight=_parse_weight(args),
-        grid=args.grid,
-        tolerance=args.tol,
-        out=args.out,
-    )
+    w = _parse_weight(args)
+    tol = _tolerance(args.tol)
     s = moments_from_dict(_load_json(args.moments))
-    box = box_from_weight(cfg.weight)
-    result = recover_measure(s, box, cfg.grid, tol=cfg.tolerance)
+    result, recovered = _recovery_report(s, w, args.grid, tol)
     report = {
         "success": result.success,
-        "atoms": [list(p) for p in result.measure.atoms],
-        "weights": list(result.measure.weights),
-        "residual": result.residual,
-        "box": {"lower": list(box.lower), "upper": list(box.upper)},
+        **recovered,
         "grid": result.grid_per_axis,
         "iterations": result.iterations,
     }
-    _emit(render_json(report), cfg.out)
+    _emit(render_json(report), args.out)
     return 0 if result.success else 2
 
 
 def _cmd_pipeline(args) -> int:
-    cfg = RunConfig(
-        "pipeline",
-        inputs=(args.moments,),
-        weight=_parse_weight(args),
-        degree=args.d,
-        grid=args.grid,
-        tolerance=args.tol,
-        out=args.out,
-    )
+    w = _parse_weight(args)
+    tol = _tolerance(args.tol)
     s = moments_from_dict(_load_json(args.moments))
-    w = cfg.weight
 
     profile = dual_norm_profile(s, w)
     growing = increments_growing(profile)
     hypothesis = {
-        "dual_norm": dual_norm_of_moments(s, w),
+        "dual_norm": profile[-1],
         "by_degree": profile,
         "truncation_degree": s.max_degree,
         "growing": growing,
         "pass": not growing,
     }
+    psd = _psd_report(s, args.d, None)
+    result, recovered = _recovery_report(s, w, args.grid, tol)
+    recovery = {**recovered, "pass": result.success}
 
-    d = cfg.degree if cfg.degree is not None else s.max_degree // 2
-    mat = moment_matrix(s, d)
-    psd_pass = is_psd_functional(s, d)
-    psd = {"d": d, "min_eigenvalue": min_eigenvalue(mat), "pass": psd_pass}
-
-    box = box_from_weight(w)
-    grid = cfg.grid if cfg.grid is not None else 101
-    tol = cfg.tolerance if cfg.tolerance is not None else 1e-6
-    rec = recover_measure(s, box, grid, tol=tol)
-    recovery = {
-        "atoms": [list(p) for p in rec.measure.atoms],
-        "weights": list(rec.measure.weights),
-        "residual": rec.residual,
-        "box": {"lower": list(box.lower), "upper": list(box.upper)},
-        "pass": rec.success,
-    }
-
-    overall = bool(hypothesis["pass"] and psd_pass and rec.success)
+    overall = bool(hypothesis["pass"] and psd["pass"] and result.success)
     report = {
         "hypothesis": hypothesis,
         "psd": psd,
         "recovery": recovery,
         "pass": overall,
     }
-    _emit(render_json(report), cfg.out)
+    _emit(render_json(report), args.out)
     return 0 if overall else 2
 
 
 def _cmd_moments(args) -> int:
-    cfg = RunConfig("moments", inputs=(args.measure,), degree=args.degree, out=args.out)
     mu = measure_from_dict(_load_json(args.measure))
-    s = moments_of_measure(mu, cfg.degree)
-    _emit(render_json(moments_to_dict(s)), cfg.out)
+    s = moments_of_measure(mu, args.degree)
+    _emit(render_json(moments_to_dict(s)), args.out)
     return 0
 
 

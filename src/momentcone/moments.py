@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .norms import WeightSpec, dual_weight, weight_power
+from .norms import WeightSpec, dual_weight, term_magnitude
 from .polyring import (
     MultiIndex,
     Polynomial,
@@ -216,69 +216,50 @@ def check_quadratic_module(
     )
 
 
-def dual_norm_of_moments(s: MomentSequence, w: WeightSpec) -> float:
-    """Dual-space norm of the truncated moment sequence against dual_weight(w).
+def dual_norm_profile(s: MomentSequence, w: WeightSpec) -> list[float]:
+    """Dual-space norm of the moments with |alpha| <= D against dual_weight(w),
+    for D = 0..max_degree.
 
     For w = (1, r) this is the sup of |s(a)| r^-a, for w = (inf, r) the sum of
-    |s(a)| r^-a, and for 1 < p < inf the lq sum against r^(-q/p).  Computed on
-    the stored truncation only, so for divergent-type sums it is a lower bound
-    that grows with max_degree.
-    """
-    if s.n != w.n:
-        raise ValueError(f"dimension mismatch: {s.n} vs {w.n}")
-    dual = dual_weight(w)
-    pairs = [(a, v) for a, v in s.sorted_values() if v != 0.0]
-    if dual.q == math.inf:
-        return max(
-            (abs(v) * weight_power(dual.r_prime, a) for a, v in pairs), default=0.0
-        )
-    qf = float(dual.q)
-    total = math.fsum(abs(v) ** qf * weight_power(dual.r_prime, a) for a, v in pairs)
-    return total ** (1.0 / qf)
-
-
-def dual_norm_profile(s: MomentSequence, w: WeightSpec) -> list[float]:
-    """dual_norm_of_moments restricted to |alpha| <= D, for D = 0..max_degree.
-
-    The by-degree profile lets callers monitor whether the underlying infinite
+    |s(a)| r^-a, and for 1 < p < inf the lq sum against r^(-q/p).  The
+    by-degree profile lets callers monitor whether the underlying infinite
     sum or sup looks summable or keeps growing with the truncation.
     """
     if s.n != w.n:
         raise ValueError(f"dimension mismatch: {s.n} vs {w.n}")
     dual = dual_weight(w)
-    by_degree: dict[int, list[float]] = {}
+    sup = dual.q == math.inf
+    power = 1.0 if sup else float(dual.q)
+    by_degree: list[list[float]] = [[] for _ in range(s.max_degree + 1)]
     for alpha, v in s.sorted_values():
-        if v == 0.0:
-            continue
-        by_degree.setdefault(sum(alpha), []).append(
-            abs(v) * weight_power(dual.r_prime, alpha)
-            if dual.q == math.inf
-            else abs(v) ** float(dual.q) * weight_power(dual.r_prime, alpha)
-        )
+        if v != 0.0:
+            by_degree[sum(alpha)].append(term_magnitude(abs(v), power, dual.r_prime, alpha))
     profile = []
-    if dual.q == math.inf:
-        running = 0.0
-        for deg in range(s.max_degree + 1):
-            running = max(running, max(by_degree.get(deg, [0.0])))
-            profile.append(running)
-        return profile
-    qf = float(dual.q)
-    running = 0.0
-    for deg in range(s.max_degree + 1):
-        running += math.fsum(by_degree.get(deg, []))
-        profile.append(running ** (1.0 / qf))
+    seen: list[float] = []
+    for terms in by_degree:
+        seen += terms
+        profile.append(max(seen, default=0.0) if sup else math.fsum(seen) ** (1.0 / power))
     return profile
 
 
-def increments_growing(profile: Sequence[float], rel_tol: float = 1e-9) -> bool:
+def dual_norm_of_moments(s: MomentSequence, w: WeightSpec) -> float:
+    """Dual-space norm of the whole stored truncation (see dual_norm_profile).
+
+    For divergent-type sums it is a lower bound that grows with max_degree.
+    """
+    return dual_norm_profile(s, w)[-1]
+
+
+def increments_growing(profile: Sequence[float]) -> bool:
     """Whether the tail of a by-degree profile is still growing.
 
     True when the last increment is positive and at least as large as the one
-    before it; convergent partial sums have shrinking increments and flat
-    sups have zero ones.
+    before it, up to a relative 1e-9; convergent partial sums have shrinking
+    increments and flat sups have zero ones.
     """
     if len(profile) < 3:
         return False
+    rel_tol = 1e-9
     last = profile[-1] - profile[-2]
     prev = profile[-2] - profile[-3]
     scale = max(abs(profile[-1]), 1e-300)

@@ -101,23 +101,7 @@ def dual_weight(w: WeightSpec) -> DualSpec:
     return DualSpec(q, tuple(v ** exponent for v in w.r))
 
 
-def weight_power(r: tuple[float, ...], alpha) -> float:
-    """r**alpha as a float; evaluated in log space when a direct product of
-    the per-axis powers risks overflow."""
-    logs = [a * math.log(v) for v, a in zip(r, alpha) if a]
-    if any(abs(t) > 600.0 for t in logs):
-        try:
-            return math.exp(math.fsum(logs))
-        except OverflowError:
-            return math.inf
-    out = 1.0
-    for v, a in zip(r, alpha):
-        if a:
-            out *= v ** a
-    return out
-
-
-def _term_magnitude(abs_coef: float, power: float, r: tuple[float, ...], alpha) -> float:
+def term_magnitude(abs_coef: float, power: float, r: tuple[float, ...], alpha) -> float:
     """|c|^power * r^alpha, fusing both factors in log space when either one
     alone would overflow or underflow."""
     logs = [a * math.log(v) for v, a in zip(r, alpha) if a]
@@ -126,7 +110,7 @@ def _term_magnitude(abs_coef: float, power: float, r: tuple[float, ...], alpha) 
         if log_term > 709.0:
             return math.inf
         return math.exp(log_term)
-    return abs_coef ** power * weight_power(r, alpha)
+    return abs_coef ** power * math.prod(v ** a for v, a in zip(r, alpha) if a)
 
 
 def _check_dims(s: Polynomial, w: WeightSpec) -> None:
@@ -143,12 +127,12 @@ def weighted_norm(s: Polynomial, w: WeightSpec) -> float:
     _check_dims(s, w)
     if w.p == math.inf:
         return max(
-            (_term_magnitude(abs(c), 1.0, w.r, a) for a, c in s.terms.items()),
+            (term_magnitude(abs(c), 1.0, w.r, a) for a, c in s.terms.items()),
             default=0.0,
         )
     pf = float(w.p)
     total = math.fsum(
-        _term_magnitude(abs(c), pf, w.r, a) for a, c in s.sorted_terms()
+        term_magnitude(abs(c), pf, w.r, a) for a, c in s.sorted_terms()
     )
     return total ** (1.0 / pf)
 

@@ -200,7 +200,7 @@ class TestScreening:
         f = Polynomial(1, {(0,): 0.0157**2 - 1e-5, (1,): -2 * 0.0157, (2,): 1.0})
         grid = np.linspace(-1.0, 1.0, 33)
         assert min(poly_eval(f, (x,)) for x in grid) > 0.0
-        hit = screen_box_nonnegativity(f, UNIT_BOX, grid_m=33)
+        hit = screen_box_nonnegativity(f, UNIT_BOX)
         assert hit is not None
         assert hit[0][0] == pytest.approx(0.0157, abs=1e-6)
         assert hit[1] == pytest.approx(-1e-5, rel=1e-6)

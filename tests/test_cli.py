@@ -342,6 +342,30 @@ class TestPipelineCommand:
         assert report["recovery"]["pass"] is False
 
 
+    def test_blocks_match_psd_check_and_recover_measure(self, workdir, capsys):
+        weight = ["--p", "2", "--r", "1", "--grid", "41", "--tol", "1e-7"]
+        assert main(["pipeline", "--moments", workdir["delta_half"], *weight]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert main(["psd-check", "--moments", workdir["delta_half"]]) == 0
+        psd = json.loads(capsys.readouterr().out)
+        assert main(["recover-measure", "--moments", workdir["delta_half"], *weight]) == 0
+        recovery = json.loads(capsys.readouterr().out)
+        assert report["psd"] == {k: psd[k] for k in ("d", "min_eigenvalue", "pass")}
+        assert report["recovery"] == {
+            **{k: recovery[k] for k in ("atoms", "weights", "residual", "box")},
+            "pass": recovery["success"],
+        }
+
+    def test_underflowing_dual_norm_term_is_finite(self, tmp_path, capsys):
+        s = MomentSequence(1, 2, {(0,): 1.0, (1,): 0.0, (2,): 1e-170})
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(moments_to_dict(s)))
+        main(["pipeline", "--moments", str(path), "--p", "2", "--r", "1e-160"])
+        hypothesis = json.loads(capsys.readouterr().out)["hypothesis"]
+        assert hypothesis["dual_norm"] == 1.0
+        assert hypothesis["by_degree"] == [1.0, 1.0, 1.0]
+
+
 class TestMomentsCommand:
     def test_moments_of_point_mass(self, workdir, capsys):
         assert main(["moments", "--measure", workdir["measure"], "--degree", "4"]) == 0
@@ -375,6 +399,37 @@ class TestDeterminism:
         )
         assert code == 0
         assert json.loads(out.read_text())["pass"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["psd-check", "--moments", "delta_half", "--tol", "nan"],
+        ["psd-check", "--moments", "delta_half", "--tol", "inf"],
+        ["qm-check", "--moments", "delta_half", "--N", "2", "--d", "1", "--tol", "nan"],
+        ["sos-approx", "--f", "xsq", "--p", "1", "--r", "1", "--eps", "0.1", "--dmax", "2",
+         "--tol", "nan"],
+        ["sos-approx", "--f", "xsq", "--p", "1", "--r", "1", "--eps", "0.1", "--dmax", "2",
+         "--max-iters", "-5"],
+        ["recover-measure", "--moments", "delta_half", "--p", "2", "--r", "1", "--tol", "nan"],
+        ["recover-measure", "--moments", "delta_half", "--p", "2", "--r", "1", "--tol", "inf"],
+        ["eval-cont", "--p", "2", "--r", "1", "--x", "nan"],
+        ["recover-measure", "--moments", "delta_half", "--p", "2", "--r", "1", "--tol", "0"],
+        ["recover-measure", "--moments", "delta_half", "--p", "2", "--r", "1", "--tol", "-1"],
+        ["recover-measure", "--moments", "delta_half", "--p", "2", "--r", "1", "--grid", "1"],
+        ["pipeline", "--moments", "delta_half", "--p", "2", "--r", "1", "--tol", "nan"],
+        ["pipeline", "--moments", "delta_half", "--p", "2", "--r", "1", "--tol", "0"],
+        ["pipeline", "--moments", "delta_half", "--p", "2", "--r", "1", "--tol", "-1"],
+        ["pipeline", "--moments", "delta_half", "--p", "2", "--r", "1", "--grid", "1"],
+    ],
+    ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
+)
+def test_bad_numeric_flag_exit_one(argv, workdir, capsys):
+    argv = [workdir.get(a, a) for a in argv]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded(workdir):

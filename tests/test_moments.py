@@ -312,6 +312,13 @@ class TestDualNormOfMoments:
         assert not increments_growing(flat)
         assert increments_growing(rising)
 
+    def test_underflowing_moment_against_overflowing_weight(self):
+        # |1e-170|^2 underflows and (1e160)^2 overflows; the true term is 1e-20
+        s = MomentSequence(1, 2, {(0,): 1.0, (1,): 0.0, (2,): 1e-170})
+        w = WeightSpec(2, (1e-160,))
+        assert dual_norm_profile(s, w) == [1.0, 1.0, 1.0]
+        assert dual_norm_of_moments(s, w) == 1.0
+
     def test_convergent_sum_not_flagged(self):
         s = delta_moments((0.5,), 6)
         profile = dual_norm_profile(s, WeightSpec(2, (1.0,)))
