@@ -27,12 +27,12 @@ def main() -> None:
     weight = WeightSpec(1, (1.0,))
     for name, poly in cases.items():
         print(f"== {name}, l1 norm, eps schedule {schedule}")
-        report, results = convergence_sweep(poly, weight, schedule, args.dmax)
-        for record, result in zip(report.records, results):
+        for result in convergence_sweep(poly, weight, schedule, args.dmax):
+            label = f"D={result.depth}" if result.success else result.reason
             status = "ok" if result.success else result.reason
             print(
-                f"  eps={record.parameter:<6g} {record.label:<14} "
-                f"distance={record.distance:<12.6g} [{status}]"
+                f"  eps={result.eps:<6g} {label:<14} "
+                f"distance={result.distance:<12.6g} [{status}]"
             )
 
 

@@ -49,8 +49,6 @@ from .moments import (
     moments_to_dict,
 )
 from .approx import (
-    ApproxRecord,
-    ApproxReport,
     BoxApproxResult,
     SosCertificate,
     box_sos_approx,

@@ -32,29 +32,6 @@ from .polyring import (
 )
 
 
-@dataclass(frozen=True)
-class ApproxRecord:
-    step: int
-    parameter: float
-    label: str
-    distance: float
-
-
-@dataclass(frozen=True)
-class ApproxReport:
-    """A log of approximation distances along a schedule."""
-
-    records: tuple[ApproxRecord, ...]
-    weight: WeightSpec | None
-
-    def __post_init__(self) -> None:
-        steps = [rec.step for rec in self.records]
-        if steps != sorted(set(steps)):
-            raise ValueError("record steps must be strictly increasing")
-        if any(rec.distance < 0.0 for rec in self.records):
-            raise ValueError("distances must be nonnegative")
-
-
 def sqrt_square_approx(f: Polynomial, i: int) -> Polynomial:
     """Degree-i truncation h_i of the formal square root of (1/i + f).
 
@@ -74,23 +51,21 @@ def sqrt_square_approx(f: Polynomial, i: int) -> Polynomial:
     return series_sqrt(shifted, i)
 
 
-def coefficientwise_report(f: Polynomial, i_max: int) -> ApproxReport:
-    """Track max |coef(h_i^2, a) - f_a| over |a| <= deg f for i = 1..i_max.
+def coefficientwise_report(f: Polynomial, i_max: int) -> list[tuple[Polynomial, float]]:
+    """The pairs (h_i, max |coef(h_i^2, a) - f_a| over |a| <= deg f) for i = 1..i_max.
 
     Once i >= deg f the only deviation left is the constant shift, so the
-    recorded error is exactly 1/i from then on.
+    error is exactly 1/i from then on.
     """
     if i_max < 1:
-        raise ValueError("i_max must be >= 1")
-    cap = max(f.degree, 0)
-    region = simplex_index(f.n, cap).basis
-    records = []
-    for i in range(1, i_max + 1):
+        raise ValueError("approximation index must be >= 1")
+    region = simplex_index(f.n, max(f.degree, 0)).basis
+    rows = []
+    for i in range(i_max, 0, -1):  # largest i first: its coefficients overflow first
         h = sqrt_square_approx(f, i)
         square = poly_mul(h, h)
-        err = max(abs(square.coefficient(a) - f.coefficient(a)) for a in region)
-        records.append(ApproxRecord(step=i, parameter=float(i), label=f"h{i}", distance=err))
-    return ApproxReport(tuple(records), weight=None)
+        rows.append((h, max(abs(square.coefficient(a) - f.coefficient(a)) for a in region)))
+    return rows[::-1]
 
 
 @dataclass(frozen=True)
@@ -167,15 +142,20 @@ def sos_certify(
     residual = math.inf
     previous = math.inf
     iterations = 0
-    for iterations in range(1, max_iters + 1):
-        # affine step: spread each coefficient's mismatch evenly over its group
-        gram = _psd_project(gram + ((targets - moment_sums(gram)) / counts)[hankel])
-        residual = float(np.max(np.abs(moment_sums(gram) - targets)))
-        if residual <= floor:
-            break
-        if residual <= tol and residual >= 0.999 * previous:
-            break  # at its numerical floor and already good enough
-        previous = residual
+    try:
+        # an overflow would otherwise reach the eigensolver as inf or nan
+        with np.errstate(over="raise", invalid="raise"):
+            for iterations in range(1, max_iters + 1):
+                # affine step: spread each coefficient's mismatch evenly over its group
+                gram = _psd_project(gram + ((targets - moment_sums(gram)) / counts)[hankel])
+                residual = float(np.max(np.abs(moment_sums(gram) - targets)))
+                if residual <= floor:
+                    break
+                if residual <= tol and residual >= 0.999 * previous:
+                    break  # at its numerical floor and already good enough
+                previous = residual
+    except FloatingPointError as exc:
+        raise ValueError("coefficients too large for the Gram search") from exc
 
     success = residual <= tol
     w, v = np.linalg.eigh(gram)
@@ -330,8 +310,8 @@ def box_sos_approx(
     """
     if f.n != w.n:
         raise ValueError(f"dimension mismatch: {f.n} vs {w.n}")
-    if eps < 0.0:
-        raise ValueError("eps must be >= 0")
+    if not (math.isfinite(eps) and eps >= 0.0):
+        raise ValueError(f"eps must be finite and >= 0, got {eps}")
     if d_max < 2:
         raise ValueError("d_max must be >= 2")
     box = box_from_weight(w)
@@ -371,8 +351,7 @@ def convergence_sweep(
     w: WeightSpec,
     eps_schedule: Sequence[float],
     d_max: int,
-    **kwargs,
-) -> tuple[ApproxReport, list[BoxApproxResult]]:
+) -> list[BoxApproxResult]:
     """Run box_sos_approx along a decreasing eps schedule.
 
     The box precondition is screened once, by the run at the first eps; if f
@@ -384,20 +363,9 @@ def convergence_sweep(
     if any(b >= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("eps schedule must be strictly decreasing")
 
-    first = box_sos_approx(f, w, schedule[0], d_max, **kwargs)
+    first = box_sos_approx(f, w, schedule[0], d_max)
     if first.reason == "negative-on-box":
-        return ApproxReport((), w), [first]
-    results = [first] + [
-        box_sos_approx(f, w, eps, d_max, skip_screening=True, **kwargs) for eps in schedule[1:]
+        return [first]
+    return [first] + [
+        box_sos_approx(f, w, eps, d_max, skip_screening=True) for eps in schedule[1:]
     ]
-
-    records = tuple(
-        ApproxRecord(
-            step=k + 1,
-            parameter=eps,
-            label=f"D={res.depth}" if res.success else res.reason,
-            distance=res.distance,
-        )
-        for k, (eps, res) in enumerate(zip(schedule, results))
-    )
-    return ApproxReport(records, w), results

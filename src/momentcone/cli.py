@@ -16,7 +16,7 @@ import math
 import sys
 
 from . import __version__
-from .approx import box_sos_approx, coefficientwise_report, sqrt_square_approx
+from .approx import box_sos_approx, coefficientwise_report
 from .measures import (
     box_from_weight,
     measure_from_dict,
@@ -28,11 +28,10 @@ from .moments import (
     check_quadratic_module,
     dual_norm_profile,
     increments_growing,
-    is_psd_functional,
-    min_eigenvalue,
     moment_matrix,
     moments_from_dict,
     moments_to_dict,
+    psd_verdict,
 )
 from .norms import WeightSpec, eval_sequence_norm, weighted_norm
 from .polyring import poly_from_dict, poly_to_dict
@@ -118,8 +117,8 @@ def _emit(text: str, out: str | None) -> None:
 def _psd_report(s, d: int | None, tol: float | None) -> dict:
     """The degree-d moment-matrix check shared by psd-check and pipeline."""
     d = d if d is not None else s.max_degree // 2
-    eig = min_eigenvalue(moment_matrix(s, d))
-    return {"d": d, "min_eigenvalue": eig, "pass": is_psd_functional(s, d, tol)}
+    eig, passed = psd_verdict(moment_matrix(s, d), tol)
+    return {"d": d, "min_eigenvalue": eig, "pass": passed}
 
 
 def _recovery_report(s, w: WeightSpec, grid: int, tol: float):
@@ -128,8 +127,7 @@ def _recovery_report(s, w: WeightSpec, grid: int, tol: float):
     box = box_from_weight(w)
     result = recover_measure(s, box, grid, tol=tol)
     return result, {
-        "atoms": [list(p) for p in result.measure.atoms],
-        "weights": list(result.measure.weights),
+        **measure_to_dict(result.measure),
         "residual": result.residual,
         "box": {"lower": list(box.lower), "upper": list(box.upper)},
     }
@@ -191,14 +189,12 @@ def _cmd_sqrt_approx(args) -> int:
             args.out,
         )
         return 2
-    h = sqrt_square_approx(f, args.i)
-    report_obj = coefficientwise_report(f, args.i)
+    rows = coefficientwise_report(f, args.i)
     report = {
         "i": args.i,
-        "h": poly_to_dict(h),
+        "h": poly_to_dict(rows[-1][0]),
         "errors": [
-            {"i": rec.step, "max_coefficient_error": rec.distance}
-            for rec in report_obj.records
+            {"i": i, "max_coefficient_error": error} for i, (_, error) in enumerate(rows, 1)
         ],
         "pass": True,
     }
@@ -244,7 +240,7 @@ def _cmd_recover_measure(args) -> int:
     report = {
         "success": result.success,
         **recovered,
-        "grid": result.grid_per_axis,
+        "grid": args.grid,
         "iterations": result.iterations,
     }
     _emit(render_json(report), args.out)

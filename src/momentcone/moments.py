@@ -153,19 +153,21 @@ def min_eigenvalue(mat: MomentMatrix) -> float:
     return float(np.linalg.eigvalsh(mat.entries)[0])
 
 
-def default_psd_tol(mat: MomentMatrix) -> float:
-    """Scale-aware tolerance 1e-9 * trace/size used by the PSD checks."""
-    if mat.size == 0:
-        return 0.0
-    return 1e-9 * max(float(np.trace(mat.entries)) / mat.size, 0.0)
+def psd_verdict(mat: MomentMatrix, tol: float | None = None) -> tuple[float, bool]:
+    """The smallest eigenvalue of mat and whether it is >= -tol.
+
+    tol defaults to the scale-aware 1e-9 * trace/size, the rule of every PSD
+    check in the package.
+    """
+    eig = min_eigenvalue(mat)
+    if tol is None:
+        tol = 1e-9 * max(float(np.trace(mat.entries)) / max(mat.size, 1), 0.0)
+    return eig, eig >= -tol
 
 
 def is_psd_functional(s: MomentSequence, d: int, tol: float | None = None) -> bool:
-    """Whether the degree-d moment matrix is PSD up to tolerance."""
-    mat = moment_matrix(s, d)
-    if tol is None:
-        tol = default_psd_tol(mat)
-    return min_eigenvalue(mat) >= -tol
+    """Whether the degree-d moment matrix is PSD up to tolerance (see psd_verdict)."""
+    return psd_verdict(moment_matrix(s, d), tol)[1]
 
 
 @dataclass(frozen=True)
@@ -204,10 +206,8 @@ def check_quadratic_module(
     labelled.append((f"g{len(generators) + 1}", ball))
     checks = []
     for label, g in labelled:
-        mat = localized_moment_matrix(s, g, d)
-        bound = default_psd_tol(mat) if tol is None else tol
-        eig = min_eigenvalue(mat)
-        checks.append(GeneratorCheck(label, g, eig, eig >= -bound))
+        eig, passed = psd_verdict(localized_moment_matrix(s, g, d), tol)
+        checks.append(GeneratorCheck(label, g, eig, passed))
     return QuadraticModuleReport(
         degree=d,
         ball_bound=float(ball_bound),

@@ -68,23 +68,25 @@ class TestSqrtSquareApprox:
 
 class TestCoefficientwiseReport:
     def test_single_variable(self):
-        report = coefficientwise_report(X, 10)
-        assert report.records[-1].distance == pytest.approx(0.1, abs=1e-12)
-        steps = [rec.step for rec in report.records]
-        assert steps == sorted(steps)
+        rows = coefficientwise_report(X, 10)
+        assert rows[-1][1] == pytest.approx(0.1, abs=1e-12)
 
     def test_zero_polynomial_errors(self):
-        report = coefficientwise_report(Polynomial.zero(1), 5)
+        rows = coefficientwise_report(Polynomial.zero(1), 5)
         expected = [1.0, 0.5, 1.0 / 3.0, 0.25, 0.2]
-        got = [rec.distance for rec in report.records]
+        got = [error for _, error in rows]
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_indefinite_polynomial(self):
         # f(0) = 0 but f is nowhere near a square; the squares still converge
         f = Polynomial(2, {(1, 1): 1.0, (3, 0): -5.0})
-        report = coefficientwise_report(f, 8)
-        for rec in report.records[2:]:  # from i = deg f onwards the error is 1/i
-            assert rec.distance == pytest.approx(1.0 / rec.step, abs=1e-10)
+        rows = coefficientwise_report(f, 8)
+        for i, (_, error) in enumerate(rows[2:], 3):  # from i = deg f onwards the error is 1/i
+            assert error == pytest.approx(1.0 / i, abs=1e-10)
+
+    def test_last_row_holds_sqrt_square_approx(self):
+        f = Polynomial(2, {(0, 0): 0.5, (1, 1): 1.0, (3, 0): -5.0})
+        assert coefficientwise_report(f, 6)[-1][0].terms == sqrt_square_approx(f, 6).terms
 
 
 class TestSosCertify:
@@ -283,28 +285,21 @@ class TestBoxSosApprox:
 
 class TestConvergenceSweep:
     def test_distances_track_eps(self):
-        report, results = convergence_sweep(
-            ONE_MINUS_XSQ, WeightSpec(1, (1.0,)), [1.0, 0.5], 2
-        )
-        assert [rec.distance for rec in report.records] == pytest.approx(
-            [2.5, 1.25], abs=1e-9
-        )
+        results = convergence_sweep(ONE_MINUS_XSQ, WeightSpec(1, (1.0,)), [1.0, 0.5], 2)
+        assert [res.distance for res in results] == pytest.approx([2.5, 1.25], abs=1e-9)
         assert all(res.success for res in results)
-        distances = [rec.distance for rec in report.records]
+        distances = [res.distance for res in results]
         assert all(b <= a + 1e-9 for a, b in zip(distances, distances[1:]))
 
     def test_sos_fixed_point(self):
-        report, results = convergence_sweep(
+        results = convergence_sweep(
             Polynomial.monomial((2,)), WeightSpec(1, (1.0,)), [0.2, 0.1, 0.05], 2
         )
-        distances = [rec.distance for rec in report.records]
+        distances = [res.distance for res in results]
         assert distances == pytest.approx([0.5, 0.25, 0.125], rel=1e-6)
 
     def test_negative_on_box_stops_sweep(self):
-        report, results = convergence_sweep(
-            ONE_MINUS_XSQ, WeightSpec(1, (2.0,)), [1.0, 0.5], 2
-        )
-        assert report.records == ()
+        results = convergence_sweep(ONE_MINUS_XSQ, WeightSpec(1, (2.0,)), [1.0, 0.5], 2)
         assert len(results) == 1
         (res,) = results
         assert res.reason == "negative-on-box"

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from momentcone import (
@@ -174,6 +175,18 @@ class TestPsdCheckCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: max_degree 2.5")
 
+    def test_one_eigensolve(self, workdir, capsys, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            calls.append(a)
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        assert main(["psd-check", "--moments", workdir["delta_half"], "--d", "3"]) == 0
+        assert len(calls) == 1
+
     def test_fail_exit_two(self, workdir, capsys):
         assert main(["psd-check", "--moments", workdir["indefinite"], "--d", "1"]) == 2
         report = json.loads(capsys.readouterr().out)
@@ -269,6 +282,14 @@ class TestSosApproxCommand:
         assert code == 2
         report = json.loads(capsys.readouterr().out)
         assert report["reason"] == "inconclusive"
+
+    def test_overflowing_gram_search_exit_one(self, workdir, capsys):
+        argv = ["sos-approx", "--f", workdir["xsq"], "--p", "1", "--r", "1", "--eps", "1e308",
+                "--dmax", "2"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: coefficients too large for the Gram search\n"
 
 
 class TestRecoverMeasureCommand:
@@ -421,6 +442,10 @@ class TestDeterminism:
         ["pipeline", "--moments", "delta_half", "--p", "2", "--r", "1", "--tol", "0"],
         ["pipeline", "--moments", "delta_half", "--p", "2", "--r", "1", "--tol", "-1"],
         ["pipeline", "--moments", "delta_half", "--p", "2", "--r", "1", "--grid", "1"],
+        ["sos-approx", "--f", "one_minus_xsq", "--p", "1", "--r", "2", "--dmax", "2",
+         "--eps", "nan"],
+        ["sos-approx", "--f", "one_minus_xsq", "--p", "1", "--r", "2", "--dmax", "2",
+         "--eps", "inf"],
     ],
     ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
 )

@@ -225,6 +225,20 @@ class TestRecoverMeasure:
         with pytest.raises(ValueError):
             recover_measure(INDEFINITE, UNIT_BOX, 1)
 
+    def test_residual_is_distance_to_moments_of_returned_measure(self):
+        # an off-grid atom: the kept support cannot match s exactly
+        s = moments_of_measure(AtomicMeasure(((0.503,), (-0.7,)), (1.0, 0.5)), 6)
+        result = recover_measure(s, UNIT_BOX, 101)
+        assert result.residual > 0.0
+        recovered = moments_of_measure(result.measure, s.max_degree).vector()
+        assert result.residual == np.linalg.norm(recovered - s.vector())
+
+    def test_residual_without_atoms_is_norm_of_moments(self):
+        s = MomentSequence(1, 2, {(0,): -1.0, (1,): 0.0, (2,): -1.0})
+        result = recover_measure(s, UNIT_BOX, 11)
+        assert result.measure.atoms == ()
+        assert result.residual == np.linalg.norm(s.vector())
+
 
 class TestConsistencyWithPsdChecks:
     def test_measure_moments_pass_certification(self, rng):
