@@ -33,7 +33,6 @@ from .norms import (
     weighted_norm,
 )
 from .moments import (
-    MomentMatrix,
     MomentSequence,
     QuadraticModuleReport,
     apply_functional,

@@ -74,11 +74,13 @@ class SosCertificate:
 
     On success the factors reproduce the certified polynomial to within
     residual and the Gram matrix is PSD up to the solver tolerance.  Failure
-    is a report, not a proof of non-membership.
+    is a report, not a proof of non-membership.  square_sum is sum h_k^2 over
+    the factors (the zero polynomial when nothing is certified).
     """
 
     success: bool
     factors: tuple[Polynomial, ...]
+    square_sum: Polynomial
     gram: np.ndarray
     basis: tuple[MultiIndex, ...]
     residual: float
@@ -161,6 +163,7 @@ def sos_certify(
     w, v = np.linalg.eigh(gram)
     gram_min_eig = float(w[0])
     factors: list[Polynomial] = []
+    square_sum = Polynomial.zero(f.n)
     if success:
         cutoff = 1e-14 * max(float(w[-1]), 1.0)
         for k in range(m):
@@ -168,13 +171,12 @@ def sos_certify(
                 root = math.sqrt(float(w[k]))
                 coeffs = {basis[j]: root * float(v[j, k]) for j in range(m)}
                 factors.append(Polynomial(f.n, coeffs))
-        reproduced = _sum_of_squares(f.n, factors)
-        residual = max(
-            abs(reproduced.coefficient(a) - f.coefficient(a)) for a in monomials
-        )
+        square_sum = _sum_of_squares(f.n, factors)
+        residual = max(abs(square_sum.coefficient(a) - f.coefficient(a)) for a in monomials)
     return SosCertificate(
         success=success,
         factors=tuple(factors),
+        square_sum=square_sum,
         gram=gram,
         basis=basis,
         residual=residual,
@@ -225,15 +227,14 @@ def _value_and_gradient(f: Polynomial):
     Vandermonde over the union of the shifted exponents times a
     (terms x (1 + n)) coefficient matrix gives all 1 + n columns.
     """
-    terms = f.sorted_terms()
-    exponents = np.array([alpha for alpha, _ in terms], dtype=np.int64).reshape(-1, f.n)
-    coefs = np.array([coef for _, coef in terms])
+    exponents = np.array(list(f.terms), dtype=np.int64).reshape(-1, f.n)
+    coefs = np.array(list(f.terms.values()))
     shifts = np.vstack([np.zeros(f.n, dtype=np.int64), np.eye(f.n, dtype=np.int64)])
     stacked = np.maximum(exponents - shifts[:, None, :], 0).reshape(-1, f.n)
-    factors = np.column_stack([np.ones(len(terms)), exponents]).T * coefs
+    factors = np.column_stack([np.ones(len(f.terms)), exponents]).T * coefs
     union, rows = np.unique(stacked, axis=0, return_inverse=True)
     matrix = np.zeros((len(union), 1 + f.n))
-    np.add.at(matrix, (rows.ravel(), np.repeat(np.arange(1 + f.n), len(terms))), factors.ravel())
+    np.add.at(matrix, (rows.ravel(), np.repeat(np.arange(1 + f.n), len(f.terms))), factors.ravel())
     return lambda points: monomial_values(points, union) @ matrix
 
 
@@ -336,10 +337,8 @@ def box_sos_approx(
             # the two differ at round-off whenever the box is not [-1, 1]^n
             factors = tuple(axis_scale(h, inverse) for h in certificate.factors)
             distance = weighted_norm(poly_sub(f, _sum_of_squares(f.n, factors)), w)
-            unit_distance = weighted_norm(
-                poly_sub(f_unit, _sum_of_squares(f.n, certificate.factors)),
-                WeightSpec(w.p, ones),
-            )
+            unit_gap = poly_sub(f_unit, certificate.square_sum)
+            unit_distance = weighted_norm(unit_gap, WeightSpec(w.p, ones))
             return BoxApproxResult(
                 "certified", eps, certificate, factors, distance, unit_distance, depth
             )

@@ -4,8 +4,10 @@ Subcommands map one-to-one onto the library pipelines and exchange JSON files
 throughout.  Output is deterministic: fixed seed, fixed key order, floats
 rendered with 17 significant digits so every value round-trips exactly.
 
-Exit codes: 0 when all requested checks pass, 2 when a check fails, 1 for
-I/O or parse errors and for numeric flags that are not finite or out of range.
+Each subcommand returns its report text and whether its checks passed; main
+alone writes the text and sets the exit code: 0 when all requested checks
+pass, 2 when a check fails, 1 for usage errors, I/O or parse errors and for
+numeric flags that are not finite or out of range.
 """
 
 from __future__ import annotations
@@ -133,32 +135,29 @@ def _recovery_report(s, w: WeightSpec, grid: int, tol: float):
     }
 
 
-def _cmd_norm(args) -> int:
+def _cmd_norm(args) -> tuple[str, bool]:
     w = _parse_weight(args)
     f = poly_from_dict(_load_json(args.f))
-    _emit(format_norm(weighted_norm(f, w)) + "\n", args.out)
-    return 0
+    return format_norm(weighted_norm(f, w)) + "\n", True
 
 
-def _cmd_eval_cont(args) -> int:
+def _cmd_eval_cont(args) -> tuple[str, bool]:
     w = _parse_weight(args)
     x = tuple(_finite_float(v) for v in str(args.x).split(","))
     value = eval_sequence_norm(x, w)
     continuous = math.isfinite(value)
     verdict = "continuous" if continuous else "not continuous"
-    _emit(f"{verdict}, dual_norm={format_norm(value)}\n", args.out)
-    return 0 if continuous else 2
+    return f"{verdict}, dual_norm={format_norm(value)}\n", continuous
 
 
-def _cmd_psd_check(args) -> int:
+def _cmd_psd_check(args) -> tuple[str, bool]:
     tol = _tolerance(args.tol)
     s = moments_from_dict(_load_json(args.moments))
     report = {"n": s.n, "max_degree": s.max_degree, **_psd_report(s, args.d, tol)}
-    _emit(render_json(report), args.out)
-    return 0 if report["pass"] else 2
+    return render_json(report), report["pass"]
 
 
-def _cmd_qm_check(args) -> int:
+def _cmd_qm_check(args) -> tuple[str, bool]:
     tol = _tolerance(args.tol)
     s = moments_from_dict(_load_json(args.moments))
     generators = [poly_from_dict(_load_json(path)) for path in args.g]
@@ -172,23 +171,14 @@ def _cmd_qm_check(args) -> int:
         ],
         "pass": result.passed,
     }
-    _emit(render_json(report), args.out)
-    return 0 if result.passed else 2
+    return render_json(report), result.passed
 
 
-def _cmd_sqrt_approx(args) -> int:
+def _cmd_sqrt_approx(args) -> tuple[str, bool]:
     f = poly_from_dict(_load_json(args.f))
     if f.constant_term < 0.0:
-        _emit(
-            render_json(
-                {
-                    "pass": False,
-                    "error": "f(0) < 0: not a coefficientwise limit of squares",
-                }
-            ),
-            args.out,
-        )
-        return 2
+        error = "f(0) < 0: not a coefficientwise limit of squares"
+        return render_json({"pass": False, "error": error}), False
     rows = coefficientwise_report(f, args.i)
     report = {
         "i": args.i,
@@ -198,11 +188,10 @@ def _cmd_sqrt_approx(args) -> int:
         ],
         "pass": True,
     }
-    _emit(render_json(report), args.out)
-    return 0
+    return render_json(report), True
 
 
-def _cmd_sos_approx(args) -> int:
+def _cmd_sos_approx(args) -> tuple[str, bool]:
     w = _parse_weight(args)
     tol = _tolerance(args.tol)
     f = poly_from_dict(_load_json(args.f))
@@ -228,11 +217,10 @@ def _cmd_sos_approx(args) -> int:
         "witness": list(result.witness) if result.witness is not None else None,
         "witness_value": result.witness_value,
     }
-    _emit(render_json(report), args.out)
-    return 0 if result.success else 2
+    return render_json(report), result.success
 
 
-def _cmd_recover_measure(args) -> int:
+def _cmd_recover_measure(args) -> tuple[str, bool]:
     w = _parse_weight(args)
     tol = _tolerance(args.tol)
     s = moments_from_dict(_load_json(args.moments))
@@ -243,11 +231,10 @@ def _cmd_recover_measure(args) -> int:
         "grid": args.grid,
         "iterations": result.iterations,
     }
-    _emit(render_json(report), args.out)
-    return 0 if result.success else 2
+    return render_json(report), result.success
 
 
-def _cmd_pipeline(args) -> int:
+def _cmd_pipeline(args) -> tuple[str, bool]:
     w = _parse_weight(args)
     tol = _tolerance(args.tol)
     s = moments_from_dict(_load_json(args.moments))
@@ -272,19 +259,26 @@ def _cmd_pipeline(args) -> int:
         "recovery": recovery,
         "pass": overall,
     }
-    _emit(render_json(report), args.out)
-    return 0 if overall else 2
+    return render_json(report), overall
 
 
-def _cmd_moments(args) -> int:
+def _cmd_moments(args) -> tuple[str, bool]:
     mu = measure_from_dict(_load_json(args.measure))
     s = moments_of_measure(mu, args.degree)
-    _emit(render_json(moments_to_dict(s)), args.out)
-    return 0
+    return render_json(moments_to_dict(s)), True
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors on exit code 1, since 2 means a failed check;
+    subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="momentcone",
         description="Weighted sequence norms, moment-matrix PSD certification, "
         "SOS approximation on boxes, and atomic measure recovery.",
@@ -320,7 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("qm-check", help="localized PSD checks for a quadratic module")
     p.add_argument("--moments", required=True, help="moment JSON file")
-    p.add_argument("--g", action="append", default=[], help="generator polynomial JSON (repeatable)")
+    p.add_argument(
+        "--g", action="append", default=[], help="generator polynomial JSON (repeatable)"
+    )
     p.add_argument("--N", type=float, required=True, help="ball bound N in N - sum X_i^2")
     p.add_argument("--d", type=int, required=True, help="localized matrix degree")
     p.add_argument("--tol", type=float, default=None, help="PSD tolerance")
@@ -371,13 +367,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        text, passed = args.func(args)
+        _emit(text, args.out)
     except (OSError, json.JSONDecodeError, ValueError, KeyError, TypeError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0 if passed else 2
 
 
 if __name__ == "__main__":

@@ -208,7 +208,7 @@ def recover_measure(
     unit_points = _grid_points(BoxSpec.from_halfwidths((1.0,) * s.n), grid_m)
     exponents = simplex_index(s.n, s.max_degree).exponents
     a_unit = monomial_values(unit_points, exponents).T
-    b = s.vector()
+    b = s.vector
     b_unit = b / monomial_values([box.upper], exponents)[0]
 
     col_scale = np.linalg.norm(a_unit, axis=0)
@@ -247,7 +247,7 @@ def verify_representation(
     integrals = _integrate_simplex(mu, s.n, s.max_degree)
     per_index = {
         alpha: abs(value - integral)
-        for (alpha, value), integral in zip(s.sorted_values(), integrals)
+        for (alpha, value), integral in zip(s.values.items(), integrals)
     }
     max_residual = max(per_index.values(), default=0.0)
     atoms_in_box = None

@@ -1,15 +1,18 @@
 """Truncated moment sequences, (localized) moment matrices, and PSD checks.
 
 A linear functional on polynomials is stored through its monomial values
-s(alpha) on the full simplex |alpha| <= max_degree.  Moment matrices index
-rows and columns by the graded-lex simplex basis, so serialized output is
-stable across runs.
+s(alpha) on the full simplex |alpha| <= max_degree, in graded-lex order: a
+read-only map and, built once, a read-only vector indexed by grlex_rank.  The
+moments of degree <= D are therefore the first simplex_size(n, D) entries.
+(Localized) moment matrices are read-only numpy arrays gathered from that
+vector, with rows and columns indexed by simplex_index(n, d).basis.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -19,7 +22,6 @@ from .polyring import (
     MultiIndex,
     Polynomial,
     entries_by_exponent,
-    grlex_key,
     integer_field,
     simplex_index,
     simplex_size,
@@ -32,11 +34,14 @@ class MomentSequence:
 
     The value map must cover the full simplex {alpha : |alpha| <= max_degree};
     holes are rejected so every matrix entry below the truncation exists.
+    ``values`` is stored read-only in graded-lex order, and ``vector`` holds
+    the same values as a read-only array indexed by grlex_rank.
     """
 
     n: int
     max_degree: int
     values: Mapping[MultiIndex, float]
+    vector: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -60,34 +65,14 @@ class MomentSequence:
                 f"moment values must cover the full simplex: got {len(cleaned)} "
                 f"of {expected} indices"
             )
-        object.__setattr__(self, "values", cleaned)
+        ordered = {a: cleaned[a] for a in simplex_index(self.n, self.max_degree).basis}
+        vector = np.array(list(ordered.values()))
+        vector.setflags(write=False)
+        object.__setattr__(self, "values", MappingProxyType(ordered))
+        object.__setattr__(self, "vector", vector)
 
     def value(self, alpha: MultiIndex) -> float:
         return self.values[tuple(alpha)]
-
-    def sorted_values(self) -> list[tuple[MultiIndex, float]]:
-        return sorted(self.values.items(), key=lambda item: grlex_key(item[0]))
-
-    def vector(self) -> np.ndarray:
-        """The values in graded-lex order, i.e. indexed by grlex_rank."""
-        return np.array([v for _, v in self.sorted_values()])
-
-
-@dataclass(frozen=True)
-class MomentMatrix:
-    """Symmetric matrix s(alpha+beta) (optionally localized by a generator)
-    over the graded-lex simplex basis of degree d."""
-
-    degree: int
-    basis: tuple[MultiIndex, ...]
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.entries.setflags(write=False)
-
-    @property
-    def size(self) -> int:
-        return len(self.basis)
 
 
 def moments_to_dict(s: MomentSequence) -> dict:
@@ -95,7 +80,7 @@ def moments_to_dict(s: MomentSequence) -> dict:
     return {
         "n": s.n,
         "max_degree": s.max_degree,
-        "values": [{"exp": list(a), "s": v} for a, v in s.sorted_values()],
+        "values": [{"exp": list(a), "s": v} for a, v in s.values.items()],
     }
 
 
@@ -116,21 +101,22 @@ def apply_functional(s: MomentSequence, f: Polynomial) -> float:
         raise ValueError(
             f"polynomial degree {f.degree} exceeds stored moments (max_degree={s.max_degree})"
         )
-    return math.fsum(coef * s.values[alpha] for alpha, coef in f.sorted_terms())
+    return math.fsum(coef * s.values[alpha] for alpha, coef in f.terms.items())
 
 
-def moment_matrix(s: MomentSequence, d: int) -> MomentMatrix:
-    """The matrix M[a, b] = s(a + b) over the degree-d simplex basis."""
+def moment_matrix(s: MomentSequence, d: int) -> np.ndarray:
+    """The read-only matrix M[a, b] = s(a + b) over simplex_index(n, d).basis."""
     if d < 0:
         raise ValueError("degree must be >= 0")
     if 2 * d > s.max_degree:
         raise ValueError(f"insufficient moments: need degree {2 * d}, have {s.max_degree}")
-    idx = simplex_index(s.n, d)
-    return MomentMatrix(d, idx.basis, s.vector()[idx.hankel()])
+    entries = s.vector[simplex_index(s.n, d).hankel()]
+    entries.setflags(write=False)
+    return entries
 
 
-def localized_moment_matrix(s: MomentSequence, g: Polynomial, d: int) -> MomentMatrix:
-    """The matrix M[a, b] = sum_c g_c s(a + b + c), realizing l(h^2 g)."""
+def localized_moment_matrix(s: MomentSequence, g: Polynomial, d: int) -> np.ndarray:
+    """The read-only matrix M[a, b] = sum_c g_c s(a + b + c), realizing l(h^2 g)."""
     if g.n != s.n:
         raise ValueError(f"dimension mismatch: {g.n} vs {s.n}")
     if d < 0:
@@ -139,21 +125,19 @@ def localized_moment_matrix(s: MomentSequence, g: Polynomial, d: int) -> MomentM
     if need > s.max_degree:
         raise ValueError(f"insufficient moments: need degree {need}, have {s.max_degree}")
     idx = simplex_index(s.n, d)
-    values = s.vector()
     entries = np.zeros((len(idx.basis),) * 2)
-    for gamma, coef in g.sorted_terms():
-        entries += coef * values[idx.hankel(gamma)]
-    return MomentMatrix(d, idx.basis, entries)
+    for gamma, coef in g.terms.items():
+        entries += coef * s.vector[idx.hankel(gamma)]
+    entries.setflags(write=False)
+    return entries
 
 
-def min_eigenvalue(mat: MomentMatrix) -> float:
-    """Smallest eigenvalue (LAPACK, via numpy)."""
-    if mat.size == 0:
-        return 0.0
-    return float(np.linalg.eigvalsh(mat.entries)[0])
+def min_eigenvalue(mat: np.ndarray) -> float:
+    """Smallest eigenvalue of a symmetric matrix (LAPACK, via numpy)."""
+    return float(np.linalg.eigvalsh(mat)[0])
 
 
-def psd_verdict(mat: MomentMatrix, tol: float | None = None) -> tuple[float, bool]:
+def psd_verdict(mat: np.ndarray, tol: float | None = None) -> tuple[float, bool]:
     """The smallest eigenvalue of mat and whether it is >= -tol.
 
     tol defaults to the scale-aware 1e-9 * trace/size, the rule of every PSD
@@ -161,7 +145,7 @@ def psd_verdict(mat: MomentMatrix, tol: float | None = None) -> tuple[float, boo
     """
     eig = min_eigenvalue(mat)
     if tol is None:
-        tol = 1e-9 * max(float(np.trace(mat.entries)) / max(mat.size, 1), 0.0)
+        tol = 1e-9 * max(float(np.trace(mat)) / len(mat), 0.0)
     return eig, eig >= -tol
 
 
@@ -223,22 +207,22 @@ def dual_norm_profile(s: MomentSequence, w: WeightSpec) -> list[float]:
     For w = (1, r) this is the sup of |s(a)| r^-a, for w = (inf, r) the sum of
     |s(a)| r^-a, and for 1 < p < inf the lq sum against r^(-q/p).  The
     by-degree profile lets callers monitor whether the underlying infinite
-    sum or sup looks summable or keeps growing with the truncation.
+    sum or sup looks summable or keeps growing with the truncation.  In
+    graded-lex order the entry for D is a prefix of the terms.
     """
     if s.n != w.n:
         raise ValueError(f"dimension mismatch: {s.n} vs {w.n}")
     dual = dual_weight(w)
     sup = dual.q == math.inf
     power = 1.0 if sup else float(dual.q)
-    by_degree: list[list[float]] = [[] for _ in range(s.max_degree + 1)]
-    for alpha, v in s.sorted_values():
-        if v != 0.0:
-            by_degree[sum(alpha)].append(term_magnitude(abs(v), power, dual.r_prime, alpha))
+    terms = [
+        term_magnitude(abs(v), power, dual.r_prime, alpha) if v != 0.0 else 0.0
+        for alpha, v in s.values.items()
+    ]
     profile = []
-    seen: list[float] = []
-    for terms in by_degree:
-        seen += terms
-        profile.append(max(seen, default=0.0) if sup else math.fsum(seen) ** (1.0 / power))
+    for degree in range(s.max_degree + 1):
+        seen = terms[: simplex_size(s.n, degree)]
+        profile.append(max(seen) if sup else math.fsum(seen) ** (1.0 / power))
     return profile
 
 

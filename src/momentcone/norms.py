@@ -60,10 +60,6 @@ class WeightSpec:
     def n(self) -> int:
         return len(self.r)
 
-    @property
-    def is_sup(self) -> bool:
-        return self.p == math.inf
-
 
 @dataclass(frozen=True)
 class DualSpec:
@@ -131,9 +127,7 @@ def weighted_norm(s: Polynomial, w: WeightSpec) -> float:
             default=0.0,
         )
     pf = float(w.p)
-    total = math.fsum(
-        term_magnitude(abs(c), pf, w.r, a) for a, c in s.sorted_terms()
-    )
+    total = math.fsum(term_magnitude(abs(c), pf, w.r, a) for a, c in s.terms.items())
     return total ** (1.0 / pf)
 
 

@@ -2,8 +2,9 @@
 
 A polynomial is a finite map from exponent tuples to float coefficients, so
 the same object doubles as a finite-support coefficient sequence.  Canonical
-form drops exact-zero coefficients, and a fixed graded-lexicographic term
-order makes every iteration, summation and serialization reproducible.
+form drops exact-zero coefficients and stores the terms in graded-lex order
+(total degree, then lex; the order of iter_simplex and grlex_rank), so every
+iteration, summation and serialization runs in that one order.
 """
 
 from __future__ import annotations
@@ -118,7 +119,7 @@ def monomial_values(points, exponents) -> np.ndarray:
 def _canonical(n: int, terms: Mapping[MultiIndex, float]) -> dict[MultiIndex, float]:
     # Exact zeros are dropped, nothing else: square-root approximants mix unit
     # coefficients with astronomically large ones and stay meaningful, so any
-    # relative-magnitude cleanup would corrupt them.
+    # relative-magnitude cleanup would corrupt them.  The map is graded-lex.
     staged: dict[MultiIndex, float] = {}
     for alpha, coef in terms.items():
         key = tuple(int(a) for a in alpha)
@@ -131,12 +132,13 @@ def _canonical(n: int, terms: Mapping[MultiIndex, float]) -> dict[MultiIndex, fl
             raise ValueError(f"coefficient {value} at {key} is not finite")
         if value != 0.0:
             staged[key] = value
-    return staged
+    return dict(sorted(staged.items(), key=lambda item: grlex_key(item[0])))
 
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Immutable sparse polynomial (equivalently a finite-support sequence)."""
+    """Immutable sparse polynomial (equivalently a finite-support sequence);
+    ``terms`` is a read-only map that iterates in graded-lex order."""
 
     n: int
     terms: Mapping[MultiIndex, float]
@@ -178,10 +180,6 @@ class Polynomial:
     def coefficient(self, alpha: MultiIndex) -> float:
         return self.terms.get(tuple(alpha), 0.0)
 
-    def sorted_terms(self) -> list[tuple[MultiIndex, float]]:
-        """Terms in graded-lexicographic order."""
-        return sorted(self.terms.items(), key=lambda item: grlex_key(item[0]))
-
     def __add__(self, other: Polynomial) -> Polynomial:
         return poly_add(self, other)
 
@@ -206,7 +204,7 @@ class Polynomial:
         if not self.terms:
             return "0"
         parts = []
-        for alpha, coef in self.sorted_terms():
+        for alpha, coef in self.terms.items():
             mono = "*".join(f"X{i + 1}^{a}" for i, a in enumerate(alpha) if a)
             parts.append(f"{coef:g}" + (f"*{mono}" if mono else ""))
         return " + ".join(parts)
@@ -249,8 +247,8 @@ def poly_mul(f: Polynomial, g: Polynomial) -> Polynomial:
     """
     _check_same_dimension(f, g)
     acc: dict[MultiIndex, float] = {}
-    for alpha, ca in f.sorted_terms():
-        for beta, cb in g.sorted_terms():
+    for alpha, ca in f.terms.items():
+        for beta, cb in g.terms.items():
             key = tuple(a + b for a, b in zip(alpha, beta))
             acc[key] = acc.get(key, 0.0) + ca * cb
     return Polynomial(f.n, acc)
@@ -262,7 +260,7 @@ def poly_eval(f: Polynomial, x) -> float:
     if len(xs) != f.n:
         raise ValueError(f"point has dimension {len(xs)}, expected {f.n}")
     contributions = []
-    for alpha, coef in f.sorted_terms():
+    for alpha, coef in f.terms.items():
         mono = 1.0
         for xi, a in zip(xs, alpha):
             if a:
@@ -327,7 +325,7 @@ def poly_to_dict(f: Polynomial) -> dict:
     """JSON-ready form: {"n": ..., "terms": [{"exp": [...], "coef": ...}, ...]}."""
     return {
         "n": f.n,
-        "terms": [{"exp": list(alpha), "coef": coef} for alpha, coef in f.sorted_terms()],
+        "terms": [{"exp": list(alpha), "coef": coef} for alpha, coef in f.terms.items()],
     }
 
 

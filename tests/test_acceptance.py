@@ -9,12 +9,10 @@ is at most 1 - u + 0.1 e^u in u = X^2, which is 2 - ln 10 < 0 at u = ln 10;
 the floor on eps is sqrt(5) - 2 at depth 2 and e^-2 over all depths.
 """
 
-import json
 import math
 import time
 
 import numpy as np
-import pytest
 
 from momentcone import (
     AtomicMeasure,
@@ -23,7 +21,6 @@ from momentcone import (
     WeightSpec,
     box_from_weight,
     box_sos_approx,
-    conjugate_exponent,
     dual_norm_of_moments,
     dual_norm_profile,
     eval_sequence_norm,

@@ -6,6 +6,8 @@ import pytest
 from momentcone import (
     Polynomial,
     WeightSpec,
+    axis_scale,
+    box_from_weight,
     box_sos_approx,
     coefficientwise_report,
     convergence_sweep,
@@ -20,6 +22,7 @@ from momentcone import (
     square_perturbation,
     weighted_norm,
 )
+from momentcone.approx import _sum_of_squares
 from momentcone.measures import BoxSpec
 from conftest import random_sparse_poly
 
@@ -116,6 +119,17 @@ class TestSosCertify:
         cert = sos_certify(ONE_MINUS_XSQ, 1, max_iters=400)
         assert not cert.success
 
+    def test_square_sum_zero_without_certificate(self):
+        cert = sos_certify(ONE_MINUS_XSQ, 1, max_iters=400)
+        assert not cert.success
+        assert cert.square_sum == Polynomial.zero(1)
+
+    def test_square_sum_is_sum_of_factor_squares(self):
+        f = Polynomial(2, {(0, 0): 1.0, (2, 0): 1.0, (1, 1): 0.5, (0, 2): 1.0})
+        cert = sos_certify(f, 1)
+        assert cert.success
+        assert dict(cert.square_sum.terms) == dict(_sum_of_squares(2, cert.factors).terms)
+
     def test_degree_capacity_check(self):
         with pytest.raises(ValueError):
             sos_certify(Polynomial.monomial((4,)), 1)
@@ -180,7 +194,10 @@ class TestScreening:
             (
                 Polynomial(
                     2,
-                    {(0, 0): 1.0, (2, 0): -0.5, (0, 2): -0.5, (4, 0): 1.0, (0, 4): 1.0, (2, 2): 0.3},
+                    {
+                        (0, 0): 1.0, (2, 0): -0.5, (0, 2): -0.5,
+                        (4, 0): 1.0, (0, 4): 1.0, (2, 2): 0.3,
+                    },
                 ),
                 SQUARE,
                 None,
@@ -268,6 +285,15 @@ class TestBoxSosApprox:
                 total = poly_add(total, poly_mul(h, h))
             direct = weighted_norm(poly_sub(f, total), w)
             assert res.distance == pytest.approx(direct, rel=1e-12)
+
+    def test_unit_distance_from_certificate_square_sum(self):
+        f = Polynomial(1, {(0,): 1.0, (2,): -0.25})
+        w = WeightSpec(2, (4.0,))
+        res = box_sos_approx(f, w, 0.5, 2)
+        assert res.success
+        f_unit = axis_scale(f, box_from_weight(w).upper)
+        gap = poly_sub(f_unit, res.certificate.square_sum)
+        assert res.unit_distance == weighted_norm(gap, WeightSpec(w.p, (1.0,)))
 
     def test_monotone_norm_inclusion(self):
         # accepted at lp distance delta, the same certificate is within delta in lq, q >= p

@@ -396,6 +396,31 @@ class TestMomentsCommand:
         assert values[(3,)] == pytest.approx(0.125)
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["psd-check"],
+            ["psd-check", "--moments", "m.json", "--d", "x"],
+            ["norm", "--f", "f.json", "--p", "1", "--r", "1", "--bogus", "3"],
+        ],
+        ids=["missing-moments", "bad-int", "unknown-flag"],
+    )
+    def test_usage_error_exit_one(self, argv, capsys):
+        # exit code 2 means that a check failed, so a usage error must not use it
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [["--version"], ["--help"], ["psd-check", "--help"]])
+    def test_version_and_help_exit_zero(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out
+
+
 class TestDeterminism:
     def test_byte_identical_reports(self, workdir, capsys):
         args = ["pipeline", "--moments", workdir["delta_half"], "--p", "2", "--r", "1"]

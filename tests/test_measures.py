@@ -230,14 +230,14 @@ class TestRecoverMeasure:
         s = moments_of_measure(AtomicMeasure(((0.503,), (-0.7,)), (1.0, 0.5)), 6)
         result = recover_measure(s, UNIT_BOX, 101)
         assert result.residual > 0.0
-        recovered = moments_of_measure(result.measure, s.max_degree).vector()
-        assert result.residual == np.linalg.norm(recovered - s.vector())
+        recovered = moments_of_measure(result.measure, s.max_degree).vector
+        assert result.residual == np.linalg.norm(recovered - s.vector)
 
     def test_residual_without_atoms_is_norm_of_moments(self):
         s = MomentSequence(1, 2, {(0,): -1.0, (1,): 0.0, (2,): -1.0})
         result = recover_measure(s, UNIT_BOX, 11)
         assert result.measure.atoms == ()
-        assert result.residual == np.linalg.norm(s.vector())
+        assert result.residual == np.linalg.norm(s.vector)
 
 
 class TestConsistencyWithPsdChecks:

@@ -28,6 +28,7 @@ from momentcone import (
     simplex_size,
     weighted_norm,
 )
+from momentcone.polyring import simplex_index
 from momentcone.approx import _psd_project
 from conftest import random_sparse_poly
 
@@ -68,7 +69,7 @@ class TestMomentSequence:
         size = simplex_size(n, d)
         values = data.draw(st.lists(FINITE, min_size=size, max_size=size))
         s = MomentSequence(n, d, dict(zip(iter_simplex(n, d), values)))
-        assert s.vector().tolist() == values
+        assert s.vector.tolist() == values
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 3), st.integers(0, 3), st.data(), NON_FINITE)
@@ -78,6 +79,20 @@ class TestMomentSequence:
         values[data.draw(st.integers(0, size - 1))] = bad
         with pytest.raises(ValueError, match="not finite"):
             MomentSequence(n, d, dict(zip(iter_simplex(n, d), values)))
+
+    def test_values_read_only_in_graded_lex_order(self):
+        s = MomentSequence(2, 1, {(1, 0): 3.0, (0, 1): 2.0, (0, 0): 1.0})
+        assert list(s.values) == [(0, 0), (0, 1), (1, 0)]
+        with pytest.raises(TypeError):
+            s.values[(0, 0)] = 5.0
+
+    def test_vector_built_once_and_read_only(self):
+        s = MomentSequence(2, 1, {(1, 0): 3.0, (0, 1): 2.0, (0, 0): 1.0})
+        assert s.vector is s.vector
+        assert s.vector.tolist() == [1.0, 2.0, 3.0]
+        assert not s.vector.flags.writeable
+        with pytest.raises(ValueError):
+            s.vector[0] = 5.0
 
     def test_out_of_range_index_rejected(self):
         with pytest.raises(ValueError):
@@ -132,17 +147,17 @@ class TestMomentMatrix:
     def test_hand_entries(self):
         s = MomentSequence(1, 2, {(0,): 1.0, (1,): 0.0, (2,): 1.0})
         m = moment_matrix(s, 1)
-        assert np.allclose(m.entries, [[1.0, 0.0], [0.0, 1.0]])
+        assert np.allclose(m, [[1.0, 0.0], [0.0, 1.0]])
 
     def test_point_mass_rank_one(self):
         m = moment_matrix(delta_moments((0.0,), 4), 2)
         expected = np.zeros((3, 3))
         expected[0, 0] = 1.0
-        assert np.allclose(m.entries, expected)
+        assert np.allclose(m, expected)
 
     def test_lebesgue_entries(self):
         m = moment_matrix(lebesgue_moments(2), 1)
-        assert np.allclose(m.entries, [[2.0, 0.0], [0.0, 2.0 / 3.0]])
+        assert np.allclose(m, [[2.0, 0.0], [0.0, 2.0 / 3.0]])
 
     def test_insufficient_moments(self):
         with pytest.raises(ValueError):
@@ -150,14 +165,15 @@ class TestMomentMatrix:
 
     def test_entries_read_only(self):
         m = moment_matrix(lebesgue_moments(2), 1)
+        assert isinstance(m, np.ndarray)
+        assert not m.flags.writeable
         with pytest.raises(ValueError):
-            m.entries[0, 0] = 5.0
+            m[0, 0] = 5.0
 
     def test_serialization_stable(self):
         one = moment_matrix(lebesgue_moments(6), 3)
         two = moment_matrix(lebesgue_moments(6), 3)
-        assert one.basis == two.basis
-        assert one.entries.tobytes() == two.entries.tobytes()
+        assert one.tobytes() == two.tobytes()
 
 
 class TestLocalizedMomentMatrix:
@@ -165,18 +181,18 @@ class TestLocalizedMomentMatrix:
         s = lebesgue_moments(4)
         base = moment_matrix(s, 2)
         local = localized_moment_matrix(s, Polynomial.constant(1, 1.0), 2)
-        assert np.allclose(base.entries, local.entries)
+        assert np.allclose(base, local)
 
     def test_lebesgue_hand_values(self):
         g = Polynomial(1, {(0,): 1.0, (2,): -1.0})
         local = localized_moment_matrix(lebesgue_moments(4), g, 1)
-        assert np.allclose(local.entries, [[4.0 / 3.0, 0.0], [0.0, 4.0 / 15.0]])
+        assert np.allclose(local, [[4.0 / 3.0, 0.0], [0.0, 4.0 / 15.0]])
 
     def test_negated_generator(self):
         s = lebesgue_moments(4)
         base = moment_matrix(s, 1)
         local = localized_moment_matrix(s, Polynomial.constant(1, -1.0), 1)
-        assert np.allclose(local.entries, -base.entries)
+        assert np.allclose(local, -base)
 
     def test_matches_direct_fsum_build(self, rng):
         mu = AtomicMeasure(((0.4, -0.2), (-0.7, 0.9), (0.1, 0.3)), (1.0, 0.5, 2.0))
@@ -184,20 +200,27 @@ class TestLocalizedMomentMatrix:
         for _ in range(10):
             g = random_sparse_poly(rng, 2, 3)
             local = localized_moment_matrix(s, g, 2)
+            basis = simplex_index(2, 2).basis
             direct = np.array(
                 [
                     [
                         math.fsum(
                             c * s.value(tuple(x + y + z for x, y, z in zip(a, b, gamma)))
-                            for gamma, c in g.sorted_terms()
+                            for gamma, c in g.terms.items()
                         )
-                        for b in local.basis
+                        for b in basis
                     ]
-                    for a in local.basis
+                    for a in basis
                 ]
             )
             scale = float(np.max(np.abs(direct)))
-            assert np.max(np.abs(local.entries - direct)) <= 1e-12 * scale
+            assert np.max(np.abs(local - direct)) <= 1e-12 * scale
+
+    def test_read_only_array(self):
+        g = Polynomial(1, {(0,): 1.0, (2,): -1.0})
+        local = localized_moment_matrix(lebesgue_moments(4), g, 1)
+        assert isinstance(local, np.ndarray)
+        assert not local.flags.writeable
 
     def test_insufficient_moments_for_generator(self):
         g = Polynomial(1, {(0,): 1.0, (2,): -1.0})
@@ -253,8 +276,8 @@ class TestPsdCertification:
         mat = moment_matrix(s, 2)
         for _ in range(20):
             h = random_sparse_poly(rng, 2, 2)
-            vec = np.array([h.coefficient(a) for a in mat.basis])
-            quad = float(vec @ mat.entries @ vec)
+            vec = np.array([h.coefficient(a) for a in simplex_index(2, 2).basis])
+            quad = float(vec @ mat @ vec)
             direct = apply_functional(s, poly_mul(h, h))
             assert quad == pytest.approx(direct, rel=1e-10, abs=1e-10)
 

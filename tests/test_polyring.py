@@ -19,7 +19,7 @@ from momentcone import (
     series_sqrt,
     simplex_size,
 )
-from momentcone.polyring import simplex_index
+from momentcone.polyring import grlex_key, simplex_index
 from conftest import (
     assert_poly_close,
     coefficient_gap,
@@ -275,6 +275,16 @@ class TestCanonicalForm:
 
     def test_zero_degree_convention(self):
         assert Polynomial.zero(3).degree == -1
+
+    def test_terms_iterate_in_graded_lex_order(self):
+        f = Polynomial(2, {(2, 0): 1, (0, 0): 1, (1, 1): 1, (0, 1): 1})
+        assert list(f.terms) == [(0, 0), (0, 1), (1, 1), (2, 0)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(poly_strategy(2), poly_strategy(2))
+    def test_arithmetic_keeps_graded_lex_order(self, f, g):
+        for h in (f, g, poly_add(f, g), poly_sub(f, g), poly_mul(f, g)):
+            assert list(h.terms) == sorted(h.terms, key=grlex_key)
 
     @settings(max_examples=60, deadline=None)
     @given(st.dictionaries(exponents_strategy(2), FINITE, max_size=6))
