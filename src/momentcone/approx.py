@@ -70,12 +70,24 @@ def coefficientwise_report(f: Polynomial, i_max: int) -> list[tuple[Polynomial, 
 
 @dataclass(frozen=True)
 class SosCertificate:
-    """Outcome of a Gram-matrix search for f = sum h_k^2.
+    """Outcome of a Gram-matrix search for f = sum h_k^2 over a pruned basis.
 
-    On success the factors reproduce the certified polynomial to within
-    residual and the Gram matrix is PSD up to the solver tolerance.  Failure
-    is a report, not a proof of non-membership.  square_sum is sum h_k^2 over
-    the factors (the zero polynomial when nothing is certified).
+    basis is what is left of the degree-d monomials after diagonal facial
+    reduction, and gram is the last PSD iterate on it.  stop says how the
+    search ended, and success holds exactly when stop is "converged":
+
+    * "converged": the factors reproduce f to within residual, and the Gram
+      matrix is PSD up to round-off;
+    * "refuted": dual is a checked functional l on the monomials of degree
+      <= 2d (graded-lex, read-only) with l(f) < 0 and a moment matrix
+      l[hankel] over basis that is positive definite by a margin above
+      round-off.  Every Gram matrix G of f on basis has <l[hankel], G> =
+      l(f), so none is PSD, and since pruning drops only rows that a PSD
+      G must have zero, f is not a sum of squares of degree-d polynomials;
+    * "cap": the iteration budget ran out with neither.
+
+    square_sum is sum h_k^2 over the factors (the zero polynomial when
+    nothing is certified).
     """
 
     success: bool
@@ -86,9 +98,13 @@ class SosCertificate:
     residual: float
     gram_min_eig: float
     iterations: int
+    stop: str  # "converged" | "refuted" | "cap"
+    dual: np.ndarray | None
 
     def __post_init__(self) -> None:
         self.gram.setflags(write=False)
+        if self.dual is not None:
+            self.dual.setflags(write=False)
 
 
 def _sum_of_squares(n: int, factors: Sequence[Polynomial]) -> Polynomial:
@@ -105,6 +121,69 @@ def _psd_project(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
+_WITNESS_EVERY = 10  # Douglas-Rachford iterations between two dual witness checks
+_WITNESS_SHIFT = 1e-8  # weight of the uniform-measure moments added to a witness
+
+
+def _prune_basis(hankel: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, int | None]:
+    """Diagonal facial reduction of the Gram basis, repeated until nothing changes.
+
+    If 2a is not b + c for distinct basis monomials b, c, then G_aa = f_2a:
+    a zero drops a (a PSD G has a zero row a), a negative value refutes f,
+    and so does a nonzero coefficient that no pair of basis monomials
+    reaches.  Returns the mask of the rows kept and the rank of the
+    refuting coefficient, or None.
+    """
+    keep = np.ones(len(hankel), dtype=bool)
+    while True:
+        rows = np.flatnonzero(keep)
+        counts = np.bincount(hankel[np.ix_(rows, rows)].ravel(), minlength=len(targets))
+        unreached = np.flatnonzero((counts == 0) & (targets != 0.0))
+        if len(unreached):
+            return keep, int(unreached[0])
+        diagonal = hankel[rows, rows]
+        lonely = counts[diagonal] == 1  # 2a is reached by (a, a) alone
+        negative = diagonal[lonely & (targets[diagonal] < 0.0)]
+        if len(negative):
+            return keep, int(negative[0])
+        drop = lonely & (targets[diagonal] == 0.0)
+        if not drop.any():
+            return keep, None
+        keep[rows[drop]] = False
+
+
+def _checked_dual(ell: np.ndarray, hankel: np.ndarray, targets: np.ndarray,
+                  uniform: np.ndarray) -> np.ndarray | None:
+    """ell normalised and shifted into a refutation of f, or None if it is none.
+
+    ell is scaled to l(1) = 1 (to a largest diagonal moment of 1 when the
+    basis lacks the constant, which no Gram entry then ties to l(1)), and
+    _WITNESS_SHIFT times the moments of the uniform measure on [-1, 1]^n is
+    added, which makes a rank-deficient moment matrix definite.  The result
+    is kept when l(f) < 0 beyond the round-off of the sum and the smallest
+    eigenvalue of l[hankel] exceeds 10 m eps ||l[hankel]||_2.
+    """
+    if hankel.size and hankel[0, 0] == 0:
+        scale = ell[0]
+    else:
+        scale = max(ell[np.diagonal(hankel)], default=1.0)
+    if not scale > 0.0:
+        return None
+    ell = ell / scale + _WITNESS_SHIFT * uniform
+    if not ell @ targets < -10.0 * np.finfo(float).eps * (np.abs(ell) @ np.abs(targets)):
+        return None
+    w = np.linalg.eigvalsh(ell[hankel])
+    if len(w) and not w[0] > 10.0 * len(w) * np.finfo(float).eps * np.max(np.abs(w)):
+        return None
+    return ell
+
+
+def _uniform_moments(n: int, degree: int) -> np.ndarray:
+    """Moments of the uniform probability measure on [-1, 1]^n, graded-lex to degree."""
+    e = simplex_index(n, degree).exponents
+    return np.prod(np.where(e % 2 == 0, 1.0 / (e + 1), 0.0), axis=1)
+
+
 def sos_certify(
     f: Polynomial,
     d: int,
@@ -113,12 +192,17 @@ def sos_certify(
 ) -> SosCertificate:
     """Search for a PSD Gram matrix representing f over the degree-d basis.
 
-    Alternating projections between the affine set of moment-matched matrices
-    (closed form: the entries that sum to one coefficient share a Hankel index,
-    so the groups are disjoint) and the PSD cone (eigenvalue clipping).
-    Iteration continues below tol while it keeps paying off, so converged
-    certificates are typically far tighter than tol; success just means the
-    final residual is within tol.
+    First the basis is pruned by diagonal facial reduction (_prune_basis),
+    which may refute f outright.  Then Douglas-Rachford splitting runs on
+    the affine set of moment-matched matrices (closed form: the entries that
+    sum to one coefficient share a Hankel index, so the groups are disjoint)
+    and the PSD cone (eigenvalue clipping): z <- z + P_A(2 P_C(z) - z) -
+    P_C(z), with P_C(z) as the Gram iterate.  It stops when that iterate
+    matches f to within a floor far below tol, or when the gap P_C(z) -
+    P_A(2 P_C(z) - z), averaged over each Hankel group, gives a checked dual
+    witness (_checked_dual, tried every _WITNESS_EVERY iterations), or at
+    max_iters.  On an infeasible problem the gap tends to a moment matrix
+    that separates the PSD cone from the affine set.
     """
     if d < 0:
         raise ValueError("basis degree must be >= 0")
@@ -127,13 +211,17 @@ def sos_certify(
     if f.degree > 2 * d:
         raise ValueError(f"degree {f.degree} exceeds Gram capacity {2 * d}")
     idx = simplex_index(f.n, d)
-    basis = idx.basis
-    m = len(basis)
-    hankel = idx.hankel()
-    flat = hankel.ravel()
     monomials = simplex_index(f.n, 2 * d).basis
     targets = np.array([f.coefficient(g) for g in monomials])
-    counts = np.bincount(flat, minlength=len(targets))
+    uniform = _uniform_moments(f.n, 2 * d)
+    full = idx.hankel()
+    keep, culprit = _prune_basis(full, targets)
+    rows = np.flatnonzero(keep)
+    basis = tuple(idx.basis[i] for i in rows)
+    m = len(basis)
+    hankel = full[np.ix_(rows, rows)]
+    flat = hankel.ravel()
+    counts = np.maximum(np.bincount(flat, minlength=len(targets)), 1)
 
     def moment_sums(mat: np.ndarray) -> np.ndarray:
         return np.bincount(flat, weights=mat.ravel(), minlength=len(targets))
@@ -141,31 +229,43 @@ def sos_certify(
     floor = max(tol * 1e-6, 1e-15 * max(float(np.max(np.abs(targets))), 1.0))
 
     gram = np.zeros((m, m))
-    residual = math.inf
-    previous = math.inf
+    residual = float(np.max(np.abs(targets)))
     iterations = 0
+    dual = None
     try:
         # an overflow would otherwise reach the eigensolver as inf or nan
         with np.errstate(over="raise", invalid="raise"):
-            for iterations in range(1, max_iters + 1):
-                # affine step: spread each coefficient's mismatch evenly over its group
-                gram = _psd_project(gram + ((targets - moment_sums(gram)) / counts)[hankel])
+            if culprit is not None:
+                # l = uniform moments plus a multiple t of the culprit's indicator:
+                # its moment matrix gains at most a positive diagonal entry, and
+                # l(f) = uniform(f) - t |f_c| <= -1
+                ell = uniform.copy()
+                t = (abs(uniform @ targets) + 1.0) / abs(targets[culprit])
+                ell[culprit] -= math.copysign(t, targets[culprit])
+                dual = _checked_dual(ell, hankel, targets, uniform)
+            z = gram
+            while dual is None and iterations < max_iters:
+                iterations += 1
+                gram = _psd_project(z)
                 residual = float(np.max(np.abs(moment_sums(gram) - targets)))
                 if residual <= floor:
                     break
-                if residual <= tol and residual >= 0.999 * previous:
-                    break  # at its numerical floor and already good enough
-                previous = residual
+                reflected = 2.0 * gram - z
+                step = reflected + ((targets - moment_sums(reflected)) / counts)[hankel] - gram
+                if iterations % _WITNESS_EVERY == 0:
+                    dual = _checked_dual(-moment_sums(step) / counts, hankel, targets, uniform)
+                z = z + step
     except FloatingPointError as exc:
         raise ValueError("coefficients too large for the Gram search") from exc
 
-    success = residual <= tol
+    success = dual is None and residual <= tol
+    stop = "converged" if success else "refuted" if dual is not None else "cap"
     w, v = np.linalg.eigh(gram)
-    gram_min_eig = float(w[0])
+    gram_min_eig = float(w[0]) if m else 0.0
     factors: list[Polynomial] = []
     square_sum = Polynomial.zero(f.n)
     if success:
-        cutoff = 1e-14 * max(float(w[-1]), 1.0)
+        cutoff = 1e-14 * float(w.max(initial=1.0))
         for k in range(m):
             if w[k] > cutoff:
                 root = math.sqrt(float(w[k]))
@@ -182,6 +282,8 @@ def sos_certify(
         residual=residual,
         gram_min_eig=gram_min_eig,
         iterations=iterations,
+        stop=stop,
+        dual=dual,
     )
 
 
@@ -307,7 +409,8 @@ def box_sos_approx(
     1 - X^2 it is sqrt(5) - 2 at depth 2 (the discriminant of the candidate
     in X^2 is 1 - 4 eps - eps^2) and e^-2 over all depths
     (min_u 1 - u + eps e^u = 2 + ln eps).  Below the floor no certificate
-    exists and "inconclusive" is the right answer.
+    exists and "inconclusive" is the right answer; the last depth's
+    certificate says whether its candidate was refuted or its search capped.
     """
     if f.n != w.n:
         raise ValueError(f"dimension mismatch: {f.n} vs {w.n}")

@@ -13,6 +13,7 @@ numeric flags that are not finite or out of range.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -277,7 +278,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"error: {message}\n")
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process: main parses every call with it."""
     parser = _Parser(
         prog="momentcone",
         description="Weighted sequence norms, moment-matrix PSD certification, "
@@ -335,7 +338,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, required=True, help="perturbation size (>= 0)")
     p.add_argument("--dmax", type=int, required=True, help="largest perturbation depth")
     p.add_argument("--tol", type=float, default=None, help="certification tolerance")
-    p.add_argument("--max-iters", type=int, default=5000, help="projection iteration cap")
+    p.add_argument(
+        "--max-iters", type=int, default=5000, help="Douglas-Rachford iteration cap per depth"
+    )
     p.add_argument("--seed", type=int, default=0, help="seed for the screening multistart")
     add_out(p)
     p.set_defaults(func=_cmd_sos_approx)

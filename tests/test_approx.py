@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momentcone import (
     Polynomial,
@@ -13,6 +15,7 @@ from momentcone import (
     convergence_sweep,
     iter_simplex,
     poly_add,
+    poly_scale,
     poly_eval,
     poly_mul,
     poly_sub,
@@ -135,9 +138,7 @@ class TestSosCertify:
             sos_certify(Polynomial.monomial((4,)), 1)
 
     def test_factors_reproduce_certified_polynomial(self, rng):
-        # strictly interior instances: a square plus a margin of basis squares
-        # (projection methods converge slowly on boundary-of-cone inputs,
-        # which is why failures are reported as inconclusive)
+        # a square plus a margin of basis squares: an interior Gram matrix exists
         margin = Polynomial(2, {(2 * a, 2 * b): 0.1 for a, b in iter_simplex(2, 2)})
         for _ in range(8):
             g = random_sparse_poly(rng, 2, 2, max_terms=4, coef_range=2.0)
@@ -152,6 +153,115 @@ class TestSosCertify:
             )
             assert gap <= 1e-8
             assert cert.gram_min_eig >= -1e-8
+
+
+def dual_refutes(f: Polynomial, d: int, cert) -> bool:
+    """Check a refutation with numpy alone: the dual, indexed by the monomials
+    of degree <= 2d, has a positive definite moment matrix over the basis and
+    a negative value at f."""
+    rank = {alpha: k for k, alpha in enumerate(iter_simplex(f.n, 2 * d))}
+    ell = cert.dual
+    moment = np.array(
+        [[ell[rank[tuple(a + b for a, b in zip(u, v))]] for v in cert.basis] for u in cert.basis]
+    ).reshape(len(cert.basis), len(cert.basis))
+    value = math.fsum(c * ell[rank[alpha]] for alpha, c in f.terms.items())
+    positive = len(cert.basis) == 0 or np.linalg.eigvalsh(moment)[0] > 0.0
+    return bool(positive and value < 0.0)
+
+
+C19 = Polynomial(2, {(6, 0): 1.0, (3, 1): -2.0, (0, 2): 1.0})  # (X1^3 - X2)^2
+QUARTIC = Polynomial(
+    2, {(0, 0): 1.0, (2, 0): -0.5, (0, 2): -0.5, (4, 0): 1.0, (0, 4): 1.0, (2, 2): 0.3}
+)
+
+
+class TestGramSearch:
+    def test_empty_interior_square_pruned_to_its_factor(self):
+        cert = sos_certify(C19, 3, max_iters=200)
+        assert cert.success and cert.stop == "converged"
+        assert cert.basis == ((0, 1), (3, 0))
+        assert cert.residual <= 1e-12
+
+    def test_quartic_certifies(self):
+        cert = sos_certify(QUARTIC, 3)
+        assert cert.success and cert.stop == "converged"
+        assert cert.residual <= 1e-8
+        assert cert.dual is None
+
+    @pytest.mark.parametrize("depth", [2, 3, 4, 5, 6])
+    def test_below_floor_candidate_refuted_with_checked_dual(self, depth):
+        f = poly_add(ONE_MINUS_XSQ, poly_scale(square_perturbation(1, depth), 0.1))
+        cert = sos_certify(f, depth)
+        assert cert.stop == "refuted" and not cert.success
+        assert cert.iterations <= 1000
+        assert cert.factors == ()
+        assert not cert.dual.flags.writeable
+        assert dual_refutes(f, depth, cert)
+
+    def test_pruning_refutes_negative_lonely_diagonal(self):
+        # X pairs only with itself to make X^2, so G_XX = -1 < 0
+        cert = sos_certify(ONE_MINUS_XSQ, 1)
+        assert cert.stop == "refuted" and cert.iterations == 0
+        assert dual_refutes(ONE_MINUS_XSQ, 1, cert)
+
+    def test_pruning_refutes_unreachable_coefficient(self):
+        # 1, X1 and X2 all drop (zero diagonal coefficients), and nothing is left for X1 X2
+        f = Polynomial(2, {(1, 1): 1.0})
+        cert = sos_certify(f, 1)
+        assert cert.stop == "refuted" and cert.basis == ()
+        assert dual_refutes(f, 1, cert)
+
+    def test_zero_polynomial_is_the_empty_sum(self):
+        cert = sos_certify(Polynomial.zero(2), 2)
+        assert cert.success and cert.basis == () and cert.factors == ()
+        assert cert.residual == 0.0
+
+    def test_cap_without_answer(self):
+        f = poly_add(ONE_MINUS_XSQ, poly_scale(square_perturbation(1, 6), 0.1))
+        cert = sos_certify(f, 6, max_iters=5)
+        assert cert.stop == "cap" and not cert.success
+        assert cert.iterations == 5 and cert.dual is None
+
+
+POLYS = st.integers(1, 2).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.dictionaries(
+            st.sampled_from(list(iter_simplex(n, 2))),
+            st.integers(-3, 3).map(float),
+            min_size=1,
+            max_size=5,
+        ),
+    )
+)
+
+
+class TestGramSearchProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(POLYS, st.sampled_from(["square", "raw"]))
+    def test_stop_matches_success_and_refutations_check(self, drawn, kind):
+        n, terms = drawn
+        g = Polynomial(n, terms)
+        f = poly_mul(g, g) if kind == "square" else poly_mul(g, Polynomial.variable(n, 0))
+        d = max((f.degree + 1) // 2, 0)
+        cert = sos_certify(f, d, max_iters=300)
+        assert (cert.stop == "converged") == cert.success
+        assert cert.stop in ("converged", "refuted", "cap")
+        if cert.stop == "refuted":
+            assert dual_refutes(f, d, cert)
+        else:
+            assert cert.dual is None
+        if kind == "square":
+            assert cert.stop != "refuted"
+
+    @settings(max_examples=40, deadline=None)
+    @given(POLYS)
+    def test_pruning_keeps_support_of_generating_factor(self, drawn):
+        n, terms = drawn
+        g = Polynomial(n, terms)
+        margin = Polynomial(n, {tuple(2 * a for a in alpha): 0.1 for alpha in terms})
+        cert = sos_certify(poly_add(poly_mul(g, g), margin), 2, max_iters=300)
+        assert set(g.terms) <= set(cert.basis)
 
 
 class TestSquarePerturbation:

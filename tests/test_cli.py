@@ -213,6 +213,18 @@ class TestQmCheckCommand:
         report = json.loads(capsys.readouterr().out)
         eigs = [entry["min_eigenvalue"] for entry in report["generators"]]
         assert eigs == pytest.approx([2.0 / 3.0, 4.0 / 15.0, 4.0 / 15.0], rel=1e-12)
+
+    def test_generators_do_not_leak_between_calls(self, workdir, capsys):
+        # main reuses one parser, so the --g list must start empty on every call
+        base = ["qm-check", "--moments", workdir["lebesgue"], "--N", "1", "--d", "1"]
+        twice = ["--g", workdir["one_minus_xsq"], "--g", workdir["xsq"]]
+        labels = []
+        for extra in (twice, ["--g", workdir["xsq"]]):
+            main(base + extra)
+            report = json.loads(capsys.readouterr().out)
+            labels.append([entry["label"] for entry in report["generators"]])
+        # g0 is the unit, the last label the ball generator N - sum X_i^2
+        assert labels == [["g0", "g1", "g2", "g3"], ["g0", "g1", "g2"]]
         assert report["pass"] is True
 
 
@@ -282,6 +294,28 @@ class TestSosApproxCommand:
         assert code == 2
         report = json.loads(capsys.readouterr().out)
         assert report["reason"] == "inconclusive"
+
+    def test_empty_interior_square_certifies(self, tmp_path, capsys):
+        # (X1^3 - X2)^2 has no Gram matrix in the interior of the PSD cone;
+        # pruning leaves the basis {X2, X1^3}, where the search ends at once
+        path = tmp_path / "square.json"
+        f = Polynomial(2, {(6, 0): 1.0, (3, 1): -2.0, (0, 2): 1.0})
+        path.write_text(json.dumps(poly_to_dict(f)))
+        argv = ["sos-approx", "--f", str(path), "--p", "1", "--r", "1,1", "--eps", "0",
+                "--dmax", "2", "--max-iters", "200"]
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["success"] is True
+        assert report["residual"] <= 1e-8
+
+    def test_repeated_calls_byte_identical(self, workdir, capsys):
+        argv = ["sos-approx", "--f", workdir["one_minus_xsq"], "--p", "2", "--r", "1",
+                "--eps", "0.2", "--dmax", "3"]
+        outputs = []
+        for _ in range(3):
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_overflowing_gram_search_exit_one(self, workdir, capsys):
         argv = ["sos-approx", "--f", workdir["xsq"], "--p", "1", "--r", "1", "--eps", "1e308",
