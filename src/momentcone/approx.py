@@ -73,8 +73,8 @@ class SosCertificate:
     """Outcome of a Gram-matrix search for f = sum h_k^2 over a pruned basis.
 
     basis is what is left of the degree-d monomials after diagonal facial
-    reduction, and gram is the last PSD iterate on it.  stop says how the
-    search ended, and success holds exactly when stop is "converged":
+    reduction, and gram is the last PSD iterate on it.  stop, read off
+    success and dual, says how the search ended:
 
     * "converged": the factors reproduce f to within residual, and the Gram
       matrix is PSD up to round-off;
@@ -98,13 +98,18 @@ class SosCertificate:
     residual: float
     gram_min_eig: float
     iterations: int
-    stop: str  # "converged" | "refuted" | "cap"
     dual: np.ndarray | None
 
     def __post_init__(self) -> None:
         self.gram.setflags(write=False)
         if self.dual is not None:
             self.dual.setflags(write=False)
+
+    @property
+    def stop(self) -> str:
+        if self.success:
+            return "converged"
+        return "refuted" if self.dual is not None else "cap"
 
 
 def _sum_of_squares(n: int, factors: Sequence[Polynomial]) -> Polynomial:
@@ -259,7 +264,6 @@ def sos_certify(
         raise ValueError("coefficients too large for the Gram search") from exc
 
     success = dual is None and residual <= tol
-    stop = "converged" if success else "refuted" if dual is not None else "cap"
     w, v = np.linalg.eigh(gram)
     gram_min_eig = float(w[0]) if m else 0.0
     factors: list[Polynomial] = []
@@ -282,7 +286,6 @@ def sos_certify(
         residual=residual,
         gram_min_eig=gram_min_eig,
         iterations=iterations,
-        stop=stop,
         dual=dual,
     )
 

@@ -213,6 +213,7 @@ class TestQmCheckCommand:
         report = json.loads(capsys.readouterr().out)
         eigs = [entry["min_eigenvalue"] for entry in report["generators"]]
         assert eigs == pytest.approx([2.0 / 3.0, 4.0 / 15.0, 4.0 / 15.0], rel=1e-12)
+        assert report["pass"] is True
 
     def test_generators_do_not_leak_between_calls(self, workdir, capsys):
         # main reuses one parser, so the --g list must start empty on every call
@@ -220,12 +221,12 @@ class TestQmCheckCommand:
         twice = ["--g", workdir["one_minus_xsq"], "--g", workdir["xsq"]]
         labels = []
         for extra in (twice, ["--g", workdir["xsq"]]):
-            main(base + extra)
+            assert main(base + extra) == 0
             report = json.loads(capsys.readouterr().out)
+            assert report["pass"] is True
             labels.append([entry["label"] for entry in report["generators"]])
         # g0 is the unit, the last label the ball generator N - sum X_i^2
         assert labels == [["g0", "g1", "g2", "g3"], ["g0", "g1", "g2"]]
-        assert report["pass"] is True
 
 
 class TestSqrtApproxCommand:
