@@ -347,31 +347,48 @@ _SCREEN_TOL = 1e-9
 _SCREEN_GRID = 33
 _SCREEN_STARTS = 100
 _SCREEN_STEPS = 200
+_SCREEN_CHECK = 10  # steps between stall checks of the descent
+_SCREEN_STALL = 1e-12
 _ARMIJO = 1e-4
 
 
-def screen_box_nonnegativity(f: Polynomial, box: BoxSpec, seed: int = 0):
-    """Look for a point of the box where f dips below -1e-9.
+def _critical_points(f: Polynomial, box: BoxSpec) -> np.ndarray:
+    """The ends of a 1-D box and the real parts of the roots of f', clipped to it, as (k, 1).
 
-    A grid pass over 33 points per axis, then a batched projected
-    gradient descent: 100 seeded uniform points move together for a fixed
-    number of steps, each clipping x - t grad f(x) to the box under a
-    per-start Armijo rule (t halves on rejection and doubles on acceptance).
-    Returns (point, value) for the lowest point found, with the value
-    evaluated by poly_eval, or None.  Absence of a violation is evidence, not
-    proof.
+    The roots are taken in u = x / c on [-1, 1], where c is the half-width, and
+    leading coefficients of f'(c u) below eps times the largest are dropped:
+    they move the roots inside the box by no more than np.roots' own error,
+    while a subnormal one would overflow its companion matrix.
     """
-    if f.n != box.n:
-        raise ValueError(f"dimension mismatch: {f.n} vs {box.n}")
-    evaluate = _value_and_gradient(f)
-    grid = _grid_points(box, _SCREEN_GRID)
+    c = box.upper[0]
+    k = np.array([alpha[0] for alpha in f.terms], dtype=np.int64)
+    coefs = np.array(list(f.terms.values()))
+    rising = k > 0
+    derivative = np.zeros(max(f.degree, 1))  # f'(c u), highest degree first
+    derivative[f.degree - k[rising]] = k[rising] * coefs[rising] * c ** k[rising]
+    kept = np.flatnonzero(np.abs(derivative) > np.finfo(float).eps * np.abs(derivative).max())
+    roots = np.roots(derivative[kept[0]:]) if kept.size else np.empty(0)
+    ends = np.array([-c, c])
+    return np.concatenate([ends, np.clip(roots.real * c, -c, c)])[:, None]
+
+
+def _descend(evaluate, box: BoxSpec, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Batched projected gradient descent from 100 seeded uniform starts.
+
+    Each step clips x - t grad f(x) to the box under a per-start Armijo rule
+    (t halves on rejection and doubles on acceptance).  Every 10 steps, a
+    start whose value fell by at most 1e-12 max(1, |f|) since the last check
+    stops; the loop ends when every start has stopped, or after 200 steps.
+    Returns the final points and their values.
+    """
     lows = np.array(box.lower)
     highs = np.array(box.upper)
-
-    x = np.random.default_rng(seed).uniform(lows, highs, size=(_SCREEN_STARTS, f.n))
+    x = np.random.default_rng(seed).uniform(lows, highs, size=(_SCREEN_STARTS, box.n))
     vg = evaluate(x)
     step = np.ones(_SCREEN_STARTS)
-    for _ in range(_SCREEN_STEPS):
+    checked = vg[:, 0].copy()
+    done = []  # (points, values) of the starts that stopped, batch by batch
+    for k in range(1, _SCREEN_STEPS + 1):
         trial = np.clip(x - step[:, None] * vg[:, 1:], lows, highs)
         trial_vg = evaluate(trial)
         decrease = np.sum(vg[:, 1:] * (trial - x), axis=1)
@@ -379,9 +396,41 @@ def screen_box_nonnegativity(f: Polynomial, box: BoxSpec, seed: int = 0):
         x[accept] = trial[accept]
         vg[accept] = trial_vg[accept]
         step = np.where(accept, 2.0 * step, 0.5 * step)
+        if k % _SCREEN_CHECK == 0:
+            value = vg[:, 0]
+            moving = checked - value > _SCREEN_STALL * np.maximum(1.0, np.abs(value))
+            done.append((x[~moving], value[~moving]))
+            x, vg, step = x[moving], vg[moving], step[moving]
+            checked = vg[:, 0].copy()
+            if not len(x):
+                break
+    done.append((x, vg[:, 0]))
+    return np.concatenate([p for p, _ in done]), np.concatenate([v for _, v in done])
 
-    points = np.concatenate([grid, x])
-    values = np.concatenate([evaluate(grid)[:, 0], vg[:, 0]])
+
+def screen_box_nonnegativity(f: Polynomial, box: BoxSpec, seed: int = 0):
+    """Look for a point of the box where f dips below -1e-9.
+
+    The candidates are a grid of 33 points per axis plus local minimizers.
+    For n = 1 these are exact: the minimum over an interval lies at an end or
+    at a root of f', so the ends and the real parts of the roots of f'
+    (np.roots), clipped to the box, are taken, and the answer is a decision
+    up to the accuracy of the roots.  For n >= 2 they are the end points of
+    a seeded multistart descent (`_descend`), and the absence of a violation
+    is evidence, not proof.  Returns (point, value) for the lowest
+    candidate, with the value evaluated by poly_eval, or None.
+    """
+    if f.n != box.n:
+        raise ValueError(f"dimension mismatch: {f.n} vs {box.n}")
+    evaluate = _value_and_gradient(f)
+    grid = _grid_points(box, _SCREEN_GRID)
+    if f.n == 1:
+        local = _critical_points(f, box)
+        local_values = evaluate(local)[:, 0]
+    else:
+        local, local_values = _descend(evaluate, box, seed)
+    points = np.concatenate([grid, local])
+    values = np.concatenate([evaluate(grid)[:, 0], local_values])
     witness = tuple(float(v) for v in points[int(np.argmin(values))])
     value = poly_eval(f, witness)
     if value < -_SCREEN_TOL:

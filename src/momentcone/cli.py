@@ -341,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-iters", type=int, default=5000, help="Douglas-Rachford iteration cap per depth"
     )
-    p.add_argument("--seed", type=int, default=0, help="seed for the screening multistart")
+    p.add_argument("--seed", type=int, default=0, help="seed for the screening multistart, n >= 2")
     add_out(p)
     p.set_defaults(func=_cmd_sos_approx)
 

@@ -324,15 +324,110 @@ class TestScreening:
             assert hit[1] == pytest.approx(minimum, abs=1e-9)
 
     def test_off_grid_dip_found_by_descent(self):
-        # negative only on |x - 0.0157| < 0.00316, which no point of the
-        # 33-point grid (spacing 0.0625) hits
-        f = Polynomial(1, {(0,): 0.0157**2 - 1e-5, (1,): -2 * 0.0157, (2,): 1.0})
+        # negative only within 0.00316 of (0.0157, 0), which no point of the
+        # 33 x 33 grid (spacing 0.0625) hits
+        f = Polynomial(
+            2, {(0, 0): 0.0157**2 - 1e-5, (1, 0): -2 * 0.0157, (2, 0): 1.0, (0, 2): 1.0}
+        )
         grid = np.linspace(-1.0, 1.0, 33)
-        assert min(poly_eval(f, (x,)) for x in grid) > 0.0
-        hit = screen_box_nonnegativity(f, UNIT_BOX)
+        assert min(poly_eval(f, (x, y)) for x in grid for y in grid) > 0.0
+        hit = screen_box_nonnegativity(f, SQUARE)
         assert hit is not None
         assert hit[0][0] == pytest.approx(0.0157, abs=1e-6)
+        assert hit[0][1] == pytest.approx(0.0, abs=1e-6)
         assert hit[1] == pytest.approx(-1e-5, rel=1e-6)
+
+    # The 1-D screen takes the box ends and the roots of f'.  pytest turns
+    # every warning into a failure, so these also check that np.roots stays
+    # quiet on degenerate derivatives.
+    def test_off_grid_dip_found_in_one_dimension(self):
+        f = Polynomial(1, {(0,): 0.0157**2 - 1e-5, (1,): -2 * 0.0157, (2,): 1.0})
+        assert min(poly_eval(f, (x,)) for x in np.linspace(-1.0, 1.0, 33)) > 0.0
+        point, value = screen_box_nonnegativity(f, UNIT_BOX)
+        assert point[0] == pytest.approx(0.0157, abs=1e-12)
+        assert value == pytest.approx(-1e-5, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "terms, hit",
+        [
+            ({}, None),
+            ({(0,): 1.0}, None),
+            ({(0,): -1.0}, -1.0),
+            ({(0,): 1.5, (1,): 2.0}, -0.5),
+            ({(0,): 1.5, (1,): -2.0}, -0.5),
+        ],
+        ids=["zero", "positive constant", "negative constant", "rising line", "falling line"],
+    )
+    def test_derivative_without_roots(self, terms, hit):
+        found = screen_box_nonnegativity(Polynomial(1, terms), UNIT_BOX)
+        if hit is None:
+            assert found is None
+        else:
+            point, value = found
+            assert value == hit
+            assert abs(point[0]) == 1.0
+
+    def test_derivative_top_coefficient_underflows_to_zero(self):
+        # on [-1e-3, 1e-3] the X^8 term of f'(c u) is 8e-310 * 1e-24 == 0.0
+        assert 8 * 1e-310 * 1e-3**8 == 0.0
+        f = Polynomial(1, {(0,): -1e-7, (2,): 1.0, (8,): 1e-310})
+        point, value = screen_box_nonnegativity(f, BoxSpec((-1e-3,), (1e-3,)))
+        assert point == (0.0,)
+        assert value == -1e-7
+
+    def test_derivative_top_coefficient_subnormal(self):
+        # kept, 5e-324 would overflow the companion matrix of np.roots
+        f = Polynomial(1, {(0,): -0.5, (1,): 0.25, (2,): 1.0, (8,): 5e-324})
+        point, value = screen_box_nonnegativity(f, UNIT_BOX)
+        assert point[0] == pytest.approx(-0.125, abs=1e-12)
+        assert value == pytest.approx(-0.515625, abs=1e-15)
+
+    def test_fourth_power_touches_zero(self):
+        coefs = np.poly([0.2] * 4)[::-1]  # (x - 0.2)^4, lowest degree first
+        f = Polynomial(1, {(k,): float(c) for k, c in enumerate(coefs)})
+        assert screen_box_nonnegativity(f, UNIT_BOX) is None
+        dipped = poly_add(f, Polynomial(1, {(0,): -1e-8}))
+        point, value = screen_box_nonnegativity(dipped, UNIT_BOX)
+        assert point[0] == pytest.approx(0.2, abs=1e-4)
+        assert value == pytest.approx(-1e-8, rel=1e-6)
+
+    def test_shallow_dip_at_double_root(self):
+        f = Polynomial(1, {(0,): 0.09 - 2e-9, (1,): -0.6, (2,): 1.0})  # (x - 0.3)^2 - 2e-9
+        point, value = screen_box_nonnegativity(f, UNIT_BOX)
+        assert point[0] == pytest.approx(0.3, abs=1e-12)
+        assert value == poly_eval(f, point)
+        assert value == pytest.approx(-2e-9, rel=1e-6)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=9),
+        st.floats(0.1, 3.0),
+    )
+    def test_one_dimension_matches_dense_minimum(self, coefs, c):
+        f = Polynomial(1, {(k,): a for k, a in enumerate(coefs)})
+        xs = np.linspace(-c, c, 20001)
+        dense = float(np.min(np.polyval(coefs[::-1], xs)))
+        scale = sum(abs(a) * c**k for k, a in enumerate(coefs))
+        hit = screen_box_nonnegativity(f, BoxSpec((-c,), (c,)))
+        if hit is None:
+            assert dense >= -1e-9 - 1e-12 * scale
+        else:
+            assert -c <= hit[0][0] <= c
+            assert hit[1] <= dense + 1e-12 * scale
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_separable_matches_sum_of_one_dimensional_minima(self, seed):
+        # x^2 - 0.3x has its minimum -0.0225 at 0.15 and y^4 - 2y^2 has -1 at
+        # +-1, none of them on the 33-point grids of [-1, 1] and [-1.5, 1.5]
+        f1 = Polynomial(1, {(1,): -0.3, (2,): 1.0})
+        f2 = Polynomial(1, {(2,): -2.0, (4,): 1.0})
+        box1, box2 = BoxSpec((-1.0,), (1.0,)), BoxSpec((-1.5,), (1.5,))
+        minima = [screen_box_nonnegativity(g, box)[1] for g, box in ((f1, box1), (f2, box2))]
+        assert minima == pytest.approx([-0.0225, -1.0], abs=1e-15)
+        f = Polynomial(2, {(1, 0): -0.3, (2, 0): 1.0, (0, 2): -2.0, (0, 4): 1.0})
+        box = BoxSpec((-1.0, -1.5), (1.0, 1.5))
+        point, value = screen_box_nonnegativity(f, box, seed=seed)
+        assert value == pytest.approx(sum(minima), abs=1e-9)
 
     def test_witness_in_box_with_exact_value(self):
         f = Polynomial(2, {(0, 0): 0.2, (1, 1): -3.0, (3, 0): 1.0, (0, 4): -0.5})
