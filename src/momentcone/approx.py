@@ -21,6 +21,7 @@ from .polyring import (
     MultiIndex,
     Polynomial,
     axis_scale,
+    dense_coefficients,
     monomial_values,
     poly_add,
     poly_eval,
@@ -29,7 +30,20 @@ from .polyring import (
     poly_sub,
     series_sqrt,
     simplex_index,
+    simplex_size,
+    sqrt_coefficients,
+    truncated_square,
 )
+
+
+def _check_index(f: Polynomial, i: int) -> None:
+    if i < 1:
+        raise ValueError("approximation index must be >= 1")
+    if f.constant_term < 0.0:
+        raise ValueError(
+            "constant term is negative, so no sequence of squares converges "
+            "to f coefficientwise"
+        )
 
 
 def sqrt_square_approx(f: Polynomial, i: int) -> Polynomial:
@@ -40,13 +54,7 @@ def sqrt_square_approx(f: Polynomial, i: int) -> Polynomial:
     Requires f(0) >= 0; polynomials with f(0) < 0 are not coefficientwise
     limits of squares at all.
     """
-    if i < 1:
-        raise ValueError("approximation index must be >= 1")
-    if f.constant_term < 0.0:
-        raise ValueError(
-            "constant term is negative, so no sequence of squares converges "
-            "to f coefficientwise"
-        )
+    _check_index(f, i)
     shifted = poly_add(f, Polynomial.constant(f.n, 1.0 / i))
     return series_sqrt(shifted, i)
 
@@ -55,17 +63,39 @@ def coefficientwise_report(f: Polynomial, i_max: int) -> list[tuple[Polynomial, 
     """The pairs (h_i, max |coef(h_i^2, a) - f_a| over |a| <= deg f) for i = 1..i_max.
 
     Once i >= deg f the only deviation left is the constant shift, so the
-    error is exactly 1/i from then on.
+    error is exactly 1/i from then on.  Each h_i is computed on a dense
+    graded-lex vector (sqrt_coefficients, the same roundings as
+    sqrt_square_approx), and only the coefficients of h_i^2 up to deg f are
+    formed, from a cached pair table (truncated_square): the report reads
+    nothing above deg f, so a square that overflows only there still gets a
+    row.  An h_i or a truncated square that is not finite is an error.
     """
-    if i_max < 1:
-        raise ValueError("approximation index must be >= 1")
-    region = simplex_index(f.n, max(f.degree, 0)).basis
+    _check_index(f, i_max)
+    region = max(f.degree, 0)
+    coefficients = dense_coefficients(f, max(region, i_max))
+    target = coefficients[: simplex_size(f.n, region)]
     rows = []
     for i in range(i_max, 0, -1):  # largest i first: its coefficients overflow first
-        h = sqrt_square_approx(f, i)
-        square = poly_mul(h, h)
-        rows.append((h, max(abs(square.coefficient(a) - f.coefficient(a)) for a in region)))
+        shifted = coefficients[: simplex_size(f.n, i)].copy()
+        shifted[0] += 1.0 / i
+        h = _finite(sqrt_coefficients(shifted, f.n, i), f.n, i)
+        square = _finite(truncated_square(h, f.n, region), f.n, region)
+        basis = simplex_index(f.n, i).basis
+        nonzero = np.flatnonzero(h).tolist()
+        terms = dict(zip([basis[k] for k in nonzero], h[nonzero].tolist()))
+        rows.append((Polynomial._trusted(f.n, terms), float(np.max(np.abs(square - target)))))
     return rows[::-1]
+
+
+def _finite(coefficients: np.ndarray, n: int, degree: int) -> np.ndarray:
+    # The graded-lex vector unchanged, or the error Polynomial raises for its
+    # first entry that is not finite.
+    finite = np.isfinite(coefficients)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        alpha = simplex_index(n, degree).basis[k]
+        raise ValueError(f"coefficient {float(coefficients[k])} at {alpha} is not finite")
+    return coefficients
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,18 @@
-"""Sparse multivariate polynomial arithmetic.
+"""Sparse multivariate polynomial arithmetic, and a dense series square root.
 
 A polynomial is a finite map from exponent tuples to float coefficients, so
 the same object doubles as a finite-support coefficient sequence.  Canonical
 form drops exact-zero coefficients and stores the terms in graded-lex order
 (total degree, then lex; the order of iter_simplex and grlex_rank), so every
 iteration, summation and serialization runs in that one order.
+
+The truncated square root (sqrt_coefficients, behind series_sqrt) and the
+square truncated to a degree (truncated_square) run on dense coefficient
+vectors indexed by graded-lex rank instead.  Their products come from
+np.bincount over pair tables cached per (n, degree), like simplex_index.
+bincount adds in input order and the tables list each coefficient's pairs in
+the order poly_mul visits them, so every coefficient is rounded exactly as
+the sparse arithmetic rounds it.
 """
 
 from __future__ import annotations
@@ -147,6 +155,15 @@ class Polynomial:
         if self.n < 1:
             raise ValueError("dimension must be >= 1")
         object.__setattr__(self, "terms", MappingProxyType(_canonical(self.n, self.terms)))
+
+    @classmethod
+    def _trusted(cls, n: int, terms: dict[MultiIndex, float]) -> Polynomial:
+        # For terms that are already finite, nonzero, keyed by tuples of ints
+        # and in graded-lex order: skips the checks of __post_init__.
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "n", n)
+        object.__setattr__(poly, "terms", MappingProxyType(terms))
+        return poly
 
     @classmethod
     def zero(cls, n: int) -> Polynomial:
@@ -293,6 +310,85 @@ def homogeneous_part(f: Polynomial, d: int) -> Polynomial:
     return Polynomial(f.n, {a: c for a, c in f.terms.items() if sum(a) == d})
 
 
+def dense_coefficients(f: Polynomial, degree: int) -> np.ndarray:
+    """The coefficients of f with |alpha| <= degree as a graded-lex vector."""
+    out = np.zeros(simplex_size(f.n, degree))
+    if f.terms:
+        exponents = np.array(list(f.terms), dtype=np.int64)
+        keep = exponents.sum(axis=1) <= degree
+        out[grlex_rank(exponents[keep])] = np.array(list(f.terms.values()))[keep]
+    return out
+
+
+@functools.lru_cache(maxsize=256)
+def _sqrt_pairs(n: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # The ranks (a, b) of the products g_j g_{d-j}, j = |a| = 1..d-1, of
+    # series_sqrt's degree-d step, a ascending, and the bin of a + b: product
+    # j fills row j of a (d, m) array, m the size of the degree-d block, and
+    # row 0 is left for f_d.
+    exponents = simplex_index(n, d).exponents
+    total = exponents.sum(axis=1)
+    inner = total > 0
+    a, b = np.nonzero((total[:, None] + total[None, :] == d) & inner[:, None] & inner[None, :])
+    lo = simplex_size(n, d - 1)
+    bins = grlex_rank(exponents[a] + exponents[b]) - lo + total[a] * (len(total) - lo)
+    return _read_only(a, b, bins)
+
+
+@functools.lru_cache(maxsize=64)
+def _square_pairs(n: int, degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # The ranks (a, b) of h * h with |a| + |b| <= degree, a ascending, and the
+    # rank of a + b.
+    exponents = simplex_index(n, degree).exponents
+    total = exponents.sum(axis=1)
+    a, b = np.nonzero(total[:, None] + total[None, :] <= degree)
+    return _read_only(a, b, grlex_rank(exponents[a] + exponents[b]))
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
+
+
+def sqrt_coefficients(f: np.ndarray, n: int, max_degree: int) -> np.ndarray:
+    """The recurrence of series_sqrt on graded-lex vectors: f holds at least
+    the coefficients of degree <= max_degree, f[0] > 0, and the result holds
+    those of g.
+
+    Degree d takes its d - 1 products g_j g_{d-j} from one np.bincount over a
+    cached pair table, which lists each product's pairs by ascending rank of
+    the left factor, as poly_mul visits them.  np.subtract.reduce down the
+    rows then subtracts the products from f_d one at a time in j order, so
+    every coefficient is rounded exactly as the sparse recurrence
+    g_d = (f_d - g_1 g_{d-1} - ... - g_{d-1} g_1) * (1 / (2 g_0)) rounds it.
+    An overflow is not raised here: it leaves an entry that is not finite.
+    """
+    g = np.zeros(simplex_size(n, max_degree))
+    g[0] = math.sqrt(f[0])
+    inv = 1.0 / (2.0 * g[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for d in range(1, max_degree + 1):
+            lo, hi = simplex_size(n, d - 1), simplex_size(n, d)
+            a, b, where = _sqrt_pairs(n, d)
+            rows = np.bincount(where, g[a] * g[b], d * (hi - lo))
+            rows = rows.astype(float, copy=False).reshape(d, hi - lo)  # d = 1: no pairs, ints
+            rows[0] = f[lo:hi]
+            g[lo:hi] = np.subtract.reduce(rows, axis=0) * inv
+    return g
+
+
+def truncated_square(h: np.ndarray, n: int, degree: int) -> np.ndarray:
+    """The coefficients of degree <= degree of h * h, for a graded-lex vector h,
+    rounded exactly as poly_mul rounds them."""
+    size = simplex_size(n, degree)
+    if len(h) < size:
+        h = np.concatenate([h, np.zeros(size - len(h))])
+    a, b, where = _square_pairs(n, degree)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.bincount(where, h[a] * h[b], size)
+
+
 def series_sqrt(f: Polynomial, max_degree: int) -> Polynomial:
     """Truncated formal power-series square root of f.
 
@@ -300,25 +396,16 @@ def series_sqrt(f: Polynomial, max_degree: int) -> Polynomial:
     with g**2 - f free of terms of total degree <= D.  The components obey
     g_0 = sqrt(f_0) and g_d = (f_d - sum_{0<j<d} g_j g_{d-j}) / (2 g_0), so a
     strictly positive constant term is required; the shifted variants that
-    make f(0) = 0 admissible live one level up.
+    make f(0) = 0 admissible live one level up.  The recurrence runs on dense
+    graded-lex vectors (sqrt_coefficients); a coefficient that overflows is
+    rejected as not finite.
     """
     if max_degree < 0:
         raise ValueError("degree bound must be >= 0")
-    c0 = f.constant_term
-    if c0 <= 0.0:
+    if f.constant_term <= 0.0:
         raise ValueError("series square root needs a strictly positive constant term")
-    g0 = math.sqrt(c0)
-    components = [Polynomial.constant(f.n, g0)]
-    inv = 1.0 / (2.0 * g0)
-    for d in range(1, max_degree + 1):
-        acc = homogeneous_part(f, d)
-        for j in range(1, d):
-            acc = poly_sub(acc, poly_mul(components[j], components[d - j]))
-        components.append(poly_scale(acc, inv))
-    total = Polynomial.zero(f.n)
-    for comp in components:
-        total = poly_add(total, comp)
-    return total
+    g = sqrt_coefficients(dense_coefficients(f, max_degree), f.n, max_degree)
+    return Polynomial(f.n, dict(zip(simplex_index(f.n, max_degree).basis, g.tolist())))
 
 
 def poly_to_dict(f: Polynomial) -> dict:

@@ -90,6 +90,21 @@ class TestCoefficientwiseReport:
         for i, (_, error) in enumerate(rows[2:], 3):  # from i = deg f onwards the error is 1/i
             assert error == pytest.approx(1.0 / i, abs=1e-10)
 
+    def test_square_overflowing_above_deg_f_reports(self):
+        # h_130 is finite but h_130^2 overflows from some degree above 1,
+        # which the report does not read; its error is 1/130 up to the
+        # rounding of sqrt(1/130)^2
+        rows = coefficientwise_report(X, 130)
+        assert len(rows) == 130
+        assert rows[-1][1] == pytest.approx(1 / 130, rel=1e-15)
+
+    def test_square_overflowing_up_to_deg_f_is_an_error(self):
+        # h_1 = g_0 + g_1 X with g_1 near 3.5e199, so the X^2 coefficient of
+        # h_1^2 overflows, and deg f = 2 puts it in the report
+        f = Polynomial(1, {(0,): 1.0, (1,): 1e200, (2,): 1.0})
+        with pytest.raises(ValueError, match=r"coefficient inf at \(2,\) is not finite"):
+            coefficientwise_report(f, 1)
+
     def test_last_row_holds_sqrt_square_approx(self):
         f = Polynomial(2, {(0, 0): 0.5, (1, 1): 1.0, (3, 0): -5.0})
         assert coefficientwise_report(f, 6)[-1][0].terms == sqrt_square_approx(f, 6).terms

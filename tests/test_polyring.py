@@ -8,18 +8,20 @@ from hypothesis import strategies as st
 from momentcone import (
     Polynomial,
     axis_scale,
+    coefficientwise_report,
     homogeneous_part,
     iter_simplex,
     poly_add,
     poly_eval,
     poly_from_dict,
     poly_mul,
+    poly_scale,
     poly_sub,
     poly_to_dict,
     series_sqrt,
     simplex_size,
 )
-from momentcone.polyring import grlex_key, simplex_index
+from momentcone.polyring import dense_coefficients, grlex_key, simplex_index, truncated_square
 from conftest import (
     assert_poly_close,
     coefficient_gap,
@@ -212,6 +214,66 @@ class TestSeriesSqrt:
             gap = poly_sub(poly_mul(g, g), f)
             for alpha in iter_simplex(n, depth):
                 assert abs(gap.coefficient(alpha)) <= 1e-10
+
+
+def sparse_series_sqrt(f, max_degree):
+    # The sparse recurrence series_sqrt ran before its dense form: the
+    # reference for the rounding of every coefficient.
+    g0 = math.sqrt(f.constant_term)
+    components = [Polynomial.constant(f.n, g0)]
+    inv = 1.0 / (2.0 * g0)
+    for d in range(1, max_degree + 1):
+        acc = homogeneous_part(f, d)
+        for j in range(1, d):
+            acc = poly_sub(acc, poly_mul(components[j], components[d - j]))
+        components.append(poly_scale(acc, inv))
+    total = Polynomial.zero(f.n)
+    for comp in components:
+        total = poly_add(total, comp)
+    return total
+
+
+@st.composite
+def low_degree_poly(draw, constant):
+    # n in {1, 2, 3}, degree <= 4, the constant term drawn from `constant`
+    n = draw(st.integers(1, 3))
+    coef = st.floats(min_value=-10, max_value=10, allow_nan=False)
+    terms = draw(st.dictionaries(st.sampled_from(list(iter_simplex(n, 4))[1:]), coef, max_size=8))
+    terms[(0,) * n] = draw(constant)
+    return Polynomial(n, terms)
+
+
+class TestDenseRounding:
+    @settings(max_examples=150, deadline=None)
+    @given(low_degree_poly(st.floats(min_value=0.0, max_value=10.0, exclude_min=True)),
+           st.integers(0, 8))
+    def test_series_sqrt_matches_sparse_recurrence(self, f, depth):
+        try:
+            expected = sparse_series_sqrt(f, depth)
+        except ValueError:  # an overflow: the dense form rejects it too
+            with pytest.raises(ValueError, match="not finite"):
+                series_sqrt(f, depth)
+            return
+        assert list(series_sqrt(f, depth).terms.items()) == list(expected.terms.items())
+
+    @settings(max_examples=100, deadline=None)
+    @given(low_degree_poly(st.floats(min_value=0.0, max_value=10.0)), st.integers(1, 8))
+    def test_report_error_is_the_sparse_square_gap(self, f, i_max):
+        region = list(iter_simplex(f.n, max(f.degree, 0)))
+        for h, error in coefficientwise_report(f, i_max):
+            square = poly_mul(h, h)
+            assert error == max(abs(square.coefficient(a) - f.coefficient(a)) for a in region)
+
+    @settings(max_examples=100, deadline=None)
+    @given(low_degree_poly(st.floats(min_value=-10, max_value=10)), st.integers(0, 8))
+    def test_truncated_square_matches_poly_mul(self, h, degree):
+        got = truncated_square(dense_coefficients(h, 4), h.n, degree)
+        square = poly_mul(h, h)
+        assert got.tolist() == [square.coefficient(a) for a in iter_simplex(h.n, degree)]
+
+    def test_overflow_names_a_coefficient(self):
+        with pytest.raises(ValueError, match=r"at \(\d+,\) is not finite"):
+            series_sqrt(Polynomial(1, {(0,): 1.0 / 200, (1,): 1.0}), 200)
 
 
 class TestHomogeneousPart:
