@@ -122,9 +122,7 @@ def moments_of_measure(mu: AtomicMeasure, max_degree: int) -> MomentSequence:
     """Moment sequence s(alpha) = sum_j w_j x_j^alpha up to max_degree."""
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
-    basis = simplex_index(mu.n, max_degree).basis
-    integrals = _integrate_simplex(mu, mu.n, max_degree)
-    return MomentSequence(mu.n, max_degree, dict(zip(basis, integrals)))
+    return MomentSequence(mu.n, max_degree, _integrate_simplex(mu, mu.n, max_degree))
 
 
 @dataclass(frozen=True)
@@ -189,9 +187,10 @@ def recover_measure(
     Solves min ||A w - s||_2 over w >= 0 where the columns of A are the
     monomial vectors of the grid atoms, by active-set steps (counted in
     `iterations`) that end on the KKT conditions.  Keeps the support with
-    weight above SUPPORT_THRESHOLD, at most len(s.values) atoms, and reports
+    weight above SUPPORT_THRESHOLD, at most len(s.vector) atoms, and reports
     the residual ||moments_of_measure(measure) - s||_2 of the returned
-    measure (||s||_2 when no atom is kept).  Failure (residual above tol) signals
+    measure (||s||_2 when no atom is kept; verify_representation checks such a
+    result, moments_of_measure cannot).  Failure (residual above tol) signals
     a too-small box, too-coarse grid, or moments that no measure on the box
     can produce.
 
@@ -244,10 +243,11 @@ def verify_representation(
     """
     if mu.atoms and mu.n != s.n:
         raise ValueError(f"dimension mismatch: measure has n={mu.n}, moments have n={s.n}")
+    basis = simplex_index(s.n, s.max_degree).basis
     integrals = _integrate_simplex(mu, s.n, s.max_degree)
     per_index = {
         alpha: abs(value - integral)
-        for (alpha, value), integral in zip(s.values.items(), integrals)
+        for alpha, value, integral in zip(basis, s.vector.tolist(), integrals)
     }
     max_residual = max(per_index.values(), default=0.0)
     atoms_in_box = None

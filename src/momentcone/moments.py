@@ -1,9 +1,9 @@
 """Truncated moment sequences, (localized) moment matrices, and PSD checks.
 
 A linear functional on polynomials is stored through its monomial values
-s(alpha) on the full simplex |alpha| <= max_degree, in graded-lex order: a
-read-only map and, built once, a read-only vector indexed by grlex_rank.  The
-moments of degree <= D are therefore the first simplex_size(n, D) entries.
+s(alpha) on the full simplex |alpha| <= max_degree: one read-only vector in
+graded-lex order, s(alpha) at grlex_rank(alpha).  The moments of degree <= D
+are therefore the first simplex_size(n, D) entries.
 (Localized) moment matrices are read-only numpy arrays gathered from that
 vector, with rows and columns indexed by simplex_index(n, d).basis.
 """
@@ -11,86 +11,82 @@ vector, with rows and columns indexed by simplex_index(n, d).basis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from types import MappingProxyType
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .norms import WeightSpec, dual_weight, term_magnitude
 from .polyring import (
-    MultiIndex,
     Polynomial,
     entries_by_exponent,
+    grlex_rank,
     integer_field,
     simplex_index,
     simplex_size,
 )
 
 
-@dataclass(frozen=True)
+def _check_simplex_count(n: int, max_degree: int, count: int) -> None:
+    if n < 1:
+        raise ValueError("dimension must be >= 1")
+    if max_degree < 0:
+        raise ValueError("max_degree must be >= 0")
+    expected = simplex_size(n, max_degree)
+    if count != expected:
+        raise ValueError(f"moments must cover the full simplex: got {count} of {expected}")
+
+
+@dataclass(frozen=True, eq=False)
 class MomentSequence:
     """Monomial values of a linear functional up to a truncation degree.
 
-    The value map must cover the full simplex {alpha : |alpha| <= max_degree};
-    holes are rejected so every matrix entry below the truncation exists.
-    ``values`` is stored read-only in graded-lex order, and ``vector`` holds
-    the same values as a read-only array indexed by grlex_rank.
+    ``vector[i]`` is s(alpha) for alpha = simplex_index(n, max_degree).basis[i].
+    It must cover that whole simplex, so every matrix entry below the
+    truncation exists.  The constructor stores a read-only float copy.
     """
 
     n: int
     max_degree: int
-    values: Mapping[MultiIndex, float]
-    vector: np.ndarray = field(init=False, repr=False, compare=False)
+    vector: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("dimension must be >= 1")
-        if self.max_degree < 0:
-            raise ValueError("max_degree must be >= 0")
-        cleaned: dict[MultiIndex, float] = {}
-        for alpha, value in self.values.items():
-            key = tuple(int(a) for a in alpha)
-            if len(key) != self.n or any(a < 0 for a in key):
-                raise ValueError(f"bad multi-index {key}")
-            if sum(key) > self.max_degree:
-                raise ValueError(f"index {key} exceeds max_degree={self.max_degree}")
-            value = float(value)
-            if not math.isfinite(value):
-                raise ValueError(f"moment value {value} at {key} is not finite")
-            cleaned[key] = value
-        expected = simplex_size(self.n, self.max_degree)
-        if len(cleaned) != expected:
-            raise ValueError(
-                f"moment values must cover the full simplex: got {len(cleaned)} "
-                f"of {expected} indices"
-            )
-        ordered = {a: cleaned[a] for a in simplex_index(self.n, self.max_degree).basis}
-        vector = np.array(list(ordered.values()))
+        vector = np.array(self.vector, dtype=float)
+        if vector.ndim != 1:
+            raise ValueError(f"moment values must be a flat vector, got shape {vector.shape}")
+        _check_simplex_count(self.n, self.max_degree, len(vector))
+        bad = np.flatnonzero(~np.isfinite(vector))
+        if bad.size:
+            alpha = simplex_index(self.n, self.max_degree).basis[bad[0]]
+            raise ValueError(f"moment value {vector[bad[0]]} at {alpha} is not finite")
         vector.setflags(write=False)
-        object.__setattr__(self, "values", MappingProxyType(ordered))
         object.__setattr__(self, "vector", vector)
-
-    def value(self, alpha: MultiIndex) -> float:
-        return self.values[tuple(alpha)]
 
 
 def moments_to_dict(s: MomentSequence) -> dict:
-    """JSON-ready form mirroring the moment file format."""
+    """JSON-ready form mirroring the moment file format, in graded-lex order."""
+    basis = simplex_index(s.n, s.max_degree).basis
     return {
         "n": s.n,
         "max_degree": s.max_degree,
-        "values": [{"exp": list(a), "s": v} for a, v in s.values.items()],
+        "values": [{"exp": list(a), "s": v} for a, v in zip(basis, s.vector.tolist())],
     }
 
 
 def moments_from_dict(data: dict) -> MomentSequence:
-    """Parse the moment file format; the full simplex is required."""
+    """Parse the moment file format: the full simplex, any order, each exponent once."""
     if not isinstance(data, dict) or not {"n", "max_degree", "values"} <= set(data):
         raise ValueError('moment JSON must be {"n": .., "max_degree": .., "values": [..]}')
-    values = entries_by_exponent(data["values"], "s")
     n = integer_field(data["n"], "n")
-    return MomentSequence(n, integer_field(data["max_degree"], "max_degree"), values)
+    max_degree = integer_field(data["max_degree"], "max_degree")
+    values = entries_by_exponent(data["values"], "s")
+    _check_simplex_count(n, max_degree, len(values))  # O(1), before any index is built
+    basis = simplex_index(n, max_degree).basis
+    outside = values.keys() - basis  # as many exponents as basis: a hole leaves one here
+    if outside:
+        alpha = next(a for a in values if a in outside)
+        raise ValueError(f"exponent {list(alpha)} is outside the simplex |alpha| <= {max_degree}")
+    return MomentSequence(n, max_degree, [values[alpha] for alpha in basis])
 
 
 def apply_functional(s: MomentSequence, f: Polynomial) -> float:
@@ -101,7 +97,8 @@ def apply_functional(s: MomentSequence, f: Polynomial) -> float:
         raise ValueError(
             f"polynomial degree {f.degree} exceeds stored moments (max_degree={s.max_degree})"
         )
-    return math.fsum(coef * s.values[alpha] for alpha, coef in f.terms.items())
+    ranks = grlex_rank(np.array(list(f.terms), dtype=np.int64).reshape(-1, s.n))
+    return math.fsum(c * v for c, v in zip(f.terms.values(), s.vector[ranks].tolist()))
 
 
 def moment_matrix(s: MomentSequence, d: int) -> np.ndarray:
@@ -215,9 +212,10 @@ def dual_norm_profile(s: MomentSequence, w: WeightSpec) -> list[float]:
     dual = dual_weight(w)
     sup = dual.q == math.inf
     power = 1.0 if sup else float(dual.q)
+    basis = simplex_index(s.n, s.max_degree).basis
     terms = [
         term_magnitude(abs(v), power, dual.r_prime, alpha) if v != 0.0 else 0.0
-        for alpha, v in s.values.items()
+        for alpha, v in zip(basis, s.vector.tolist())
     ]
     profile = []
     for degree in range(s.max_degree + 1):

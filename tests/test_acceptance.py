@@ -138,10 +138,8 @@ def test_criterion_3_evaluation_continuity():
 
 @announce("4 PSD certification of box moments")
 def test_criterion_4_psd_certification():
-    values = {}
-    for k in range(11):
-        # direct integration of x^k over [-1, 1]
-        values[(k,)] = 1.0 / (k + 1) - (-1.0) ** (k + 1) / (k + 1)
+    # direct integration of x^k over [-1, 1]
+    values = [1.0 / (k + 1) - (-1.0) ** (k + 1) / (k + 1) for k in range(11)]
     lebesgue = MomentSequence(1, 10, values)
     box_generator = Polynomial(1, {(0,): 1.0, (2,): -1.0})
     for d in range(1, 5):
@@ -152,7 +150,7 @@ def test_criterion_4_psd_certification():
         for check in report.checks:
             assert check.min_eigenvalue >= 1e-3
 
-    indefinite = MomentSequence(1, 2, {(0,): 1.0, (1,): 0.0, (2,): -1.0})
+    indefinite = MomentSequence(1, 2, [1.0, 0.0, -1.0])
     assert not is_psd_functional(indefinite, 1)
     assert abs(min_eigenvalue(moment_matrix(indefinite, 1)) - (-1.0)) <= 1e-10
 
@@ -257,7 +255,7 @@ def test_criterion_6_measure_recovery():
         assert all(wgt >= 0.0 for wgt in result.measure.weights)
         assert all(box.contains(pt) for pt in result.measure.atoms)
 
-    indefinite = MomentSequence(1, 2, {(0,): 1.0, (1,): 0.0, (2,): -1.0})
+    indefinite = MomentSequence(1, 2, [1.0, 0.0, -1.0])
     control = recover_measure(indefinite, box_from_weight(WeightSpec(1, (1.0,))), 101)
     assert not control.success
     assert control.residual >= 0.1

@@ -13,6 +13,7 @@ from momentcone import (
     MomentSequence,
     Polynomial,
     measure_to_dict,
+    moments_from_dict,
     moments_of_measure,
     moments_to_dict,
     poly_to_dict,
@@ -45,16 +46,12 @@ def workdir(tmp_path):
         ),
         "indefinite": write(
             "indefinite.json",
-            moments_to_dict(MomentSequence(1, 2, {(0,): 1.0, (1,): 0.0, (2,): -1.0})),
+            moments_to_dict(MomentSequence(1, 2, [1.0, 0.0, -1.0])),
         ),
         "lebesgue": write(
             "lebesgue.json",
             moments_to_dict(
-                MomentSequence(
-                    1,
-                    10,
-                    {(k,): (2.0 / (k + 1) if k % 2 == 0 else 0.0) for k in range(11)},
-                )
+                MomentSequence(1, 10, [2.0 / (k + 1) if k % 2 == 0 else 0.0 for k in range(11)])
             ),
         ),
         "measure": write(
@@ -153,16 +150,29 @@ class TestPsdCheckCommand:
         assert captured.err.startswith("error:")
         assert ("too large" if literal == HUGE_INT else literal) in captured.err
 
-    def test_fractional_exponent_exit_one(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "exponents",
+        [
+            pytest.param([[0], [2]], id="hole"),
+            pytest.param([[0], [1], [3]], id="above-max-degree"),
+            pytest.param([[0], [1], [0, 2]], id="wrong-length"),
+            pytest.param([[0], [1], [-1]], id="negative"),
+            pytest.param([[0], [1.5], [2]], id="fractional"),
+            pytest.param([[0], [True], [2]], id="boolean"),
+            pytest.param([[0], [1], [1]], id="duplicate"),
+        ],
+    )
+    def test_bad_moment_file_exit_one(self, exponents, tmp_path, capsys):
+        data = {"n": 1, "max_degree": 2, "values": [{"exp": e, "s": 1.0} for e in exponents]}
+        with pytest.raises(ValueError):
+            moments_from_dict(data)
         path = tmp_path / "moments.json"
-        path.write_text(
-            '{"n": 1, "max_degree": 2, "values": [{"exp": [0], "s": 1.0}, '
-            '{"exp": [1.7], "s": 0.0}, {"exp": [2], "s": 1.0}]}'
-        )
+        path.write_text(json.dumps(data))
         assert main(["psd-check", "--moments", str(path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1
 
     def test_fractional_max_degree_exit_one(self, tmp_path, capsys):
         path = tmp_path / "moments.json"
@@ -413,7 +423,7 @@ class TestPipelineCommand:
         }
 
     def test_underflowing_dual_norm_term_is_finite(self, tmp_path, capsys):
-        s = MomentSequence(1, 2, {(0,): 1.0, (1,): 0.0, (2,): 1e-170})
+        s = MomentSequence(1, 2, [1.0, 0.0, 1e-170])
         path = tmp_path / "tiny.json"
         path.write_text(json.dumps(moments_to_dict(s)))
         main(["pipeline", "--moments", str(path), "--p", "2", "--r", "1e-160"])

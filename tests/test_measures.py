@@ -42,7 +42,7 @@ def _atoms(n):
 # up to five finite (atom, weight) pairs in 1-3 variables; the weights stay far
 # enough from the float limit that merging duplicates cannot overflow
 ATOM_PAIRS = st.integers(1, 3).flatmap(_atoms)
-INDEFINITE = MomentSequence(1, 2, {(0,): 1.0, (1,): 0.0, (2,): -1.0})
+INDEFINITE = MomentSequence(1, 2, [1.0, 0.0, -1.0])
 
 
 class TestAtomicMeasure:
@@ -98,14 +98,12 @@ class TestAtomicMeasure:
 class TestMomentsOfMeasure:
     def test_point_mass_at_origin(self):
         s = moments_of_measure(AtomicMeasure(((0.0,),), (1.0,)), 4)
-        assert s.values[(0,)] == 1.0
-        assert all(v == 0.0 for a, v in s.values.items() if sum(a) > 0)
+        assert s.vector.tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
 
     def test_symmetric_two_point(self):
         mu = AtomicMeasure(((-1.0,), (1.0,)), (0.5, 0.5))
         s = moments_of_measure(mu, 6)
-        for k in range(7):
-            assert s.values[(k,)] == (1.0 if k % 2 == 0 else 0.0)
+        assert s.vector.tolist() == [1.0 if k % 2 == 0 else 0.0 for k in range(7)]
 
     def test_functional_matches_direct_sum(self, rng):
         mu = AtomicMeasure(((0.3, 0.1), (-0.7, 0.4), (0.2, -0.9)), (1.0, 0.3, 0.7))
@@ -180,8 +178,7 @@ class TestRecoverMeasure:
     def test_lebesgue_needs_at_most_seven_atoms(self):
         # 7 moments live in R^7, so a vertex solution has at most 7 atoms
         # (Caratheodory).
-        values = {(k,): (2.0 / (k + 1) if k % 2 == 0 else 0.0) for k in range(7)}
-        s = MomentSequence(1, 6, values)
+        s = MomentSequence(1, 6, [2.0 / (k + 1) if k % 2 == 0 else 0.0 for k in range(7)])
         result = recover_measure(s, UNIT_BOX, 101)
         assert result.success
         assert result.residual <= 1e-6
@@ -234,10 +231,19 @@ class TestRecoverMeasure:
         assert result.residual == np.linalg.norm(recovered - s.vector)
 
     def test_residual_without_atoms_is_norm_of_moments(self):
-        s = MomentSequence(1, 2, {(0,): -1.0, (1,): 0.0, (2,): -1.0})
+        s = MomentSequence(1, 2, [-1.0, 0.0, -1.0])
         result = recover_measure(s, UNIT_BOX, 11)
         assert result.measure.atoms == ()
         assert result.residual == np.linalg.norm(s.vector)
+
+    def test_result_without_atoms_checked_by_verify_representation(self):
+        # moments_of_measure cannot take a measure without atoms; this check can
+        s = MomentSequence(1, 2, [-1.0, 0.0, -1.0])
+        result = recover_measure(s, UNIT_BOX, 41)
+        assert result.measure.atoms == ()
+        report = verify_representation(s, result.measure)
+        assert report.max_residual == 1.0
+        assert report.passed is False
 
 
 class TestConsistencyWithPsdChecks:

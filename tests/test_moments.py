@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -38,11 +39,11 @@ NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 
 def lebesgue_moments(max_degree: int) -> MomentSequence:
     # integral of x^k over [-1, 1] via the antiderivative x^(k+1)/(k+1)
-    values = {}
+    values = []
     for k in range(max_degree + 1):
         upper = 1.0 ** (k + 1) / (k + 1)
         lower = (-1.0) ** (k + 1) / (k + 1)
-        values[(k,)] = upper - lower
+        values.append(upper - lower)
     return MomentSequence(1, max_degree, values)
 
 
@@ -50,25 +51,25 @@ def delta_moments(point, max_degree: int) -> MomentSequence:
     return moments_of_measure(AtomicMeasure((tuple(point),), (1.0,)), max_degree)
 
 
-INDEFINITE = MomentSequence(1, 2, {(0,): 1.0, (1,): 0.0, (2,): -1.0})
+INDEFINITE = MomentSequence(1, 2, [1.0, 0.0, -1.0])
 
 
 class TestMomentSequence:
     def test_full_simplex_required(self):
-        with pytest.raises(ValueError):
-            MomentSequence(1, 2, {(0,): 1.0, (2,): 1.0})
+        with pytest.raises(ValueError, match="got 2 of 3"):
+            MomentSequence(1, 2, [1.0, 1.0])
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_value_rejected(self, value):
-        with pytest.raises(ValueError, match="not finite"):
-            MomentSequence(1, 2, {(0,): 1.0, (1,): value, (2,): 1.0})
+        with pytest.raises(ValueError, match=r"at \(1,\) is not finite"):
+            MomentSequence(1, 2, [1.0, value, 1.0])
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 3), st.integers(0, 3), st.data())
     def test_finite_values_accepted(self, n, d, data):
         size = simplex_size(n, d)
         values = data.draw(st.lists(FINITE, min_size=size, max_size=size))
-        s = MomentSequence(n, d, dict(zip(iter_simplex(n, d), values)))
+        s = MomentSequence(n, d, values)
         assert s.vector.tolist() == values
 
     @settings(max_examples=60, deadline=None)
@@ -76,32 +77,61 @@ class TestMomentSequence:
     def test_one_non_finite_value_rejected(self, n, d, data, bad):
         size = simplex_size(n, d)
         values = data.draw(st.lists(FINITE, min_size=size, max_size=size))
-        values[data.draw(st.integers(0, size - 1))] = bad
-        with pytest.raises(ValueError, match="not finite"):
-            MomentSequence(n, d, dict(zip(iter_simplex(n, d), values)))
-
-    def test_values_read_only_in_graded_lex_order(self):
-        s = MomentSequence(2, 1, {(1, 0): 3.0, (0, 1): 2.0, (0, 0): 1.0})
-        assert list(s.values) == [(0, 0), (0, 1), (1, 0)]
-        with pytest.raises(TypeError):
-            s.values[(0, 0)] = 5.0
+        at = data.draw(st.integers(0, size - 1))
+        values[at] = bad
+        alpha = list(iter_simplex(n, d))[at]
+        with pytest.raises(ValueError, match=re.escape(f"at {alpha} is not finite")):
+            MomentSequence(n, d, values)
 
     def test_vector_built_once_and_read_only(self):
-        s = MomentSequence(2, 1, {(1, 0): 3.0, (0, 1): 2.0, (0, 0): 1.0})
+        s = MomentSequence(2, 1, [1.0, 2.0, 3.0])
         assert s.vector is s.vector
         assert s.vector.tolist() == [1.0, 2.0, 3.0]
         assert not s.vector.flags.writeable
         with pytest.raises(ValueError):
             s.vector[0] = 5.0
 
+    def test_constructor_copies_its_input(self):
+        values = [1.0, 2.0, 3.0]
+        array = np.array(values)
+        from_list = MomentSequence(2, 1, values)
+        from_array = MomentSequence(2, 1, array)
+        values[0] = 7.0
+        array[0] = 7.0
+        assert from_list.vector.tolist() == [1.0, 2.0, 3.0]
+        assert from_array.vector.tolist() == [1.0, 2.0, 3.0]
+
+    def test_two_dimensional_input_rejected(self):
+        with pytest.raises(ValueError, match="flat vector"):
+            MomentSequence(2, 1, [[1.0], [2.0], [3.0]])
+
     def test_out_of_range_index_rejected(self):
-        with pytest.raises(ValueError):
-            MomentSequence(1, 1, {(0,): 1.0, (1,): 0.0, (2,): 1.0})
+        data = {"n": 1, "max_degree": 1, "values": [{"exp": [0], "s": 1.0}, {"exp": [2], "s": 1.0}]}
+        with pytest.raises(ValueError, match=r"exponent \[2\] is outside"):
+            moments_from_dict(data)
+
+    def test_size_checked_before_the_simplex_is_built(self):
+        # C(80, 40), about 1.1e23 exponents: building that index would never return
+        data = {"n": 40, "max_degree": 40, "values": [{"exp": [0] * 40, "s": 1.0}]}
+        with pytest.raises(ValueError, match="got 1 of"):
+            moments_from_dict(data)
 
     def test_json_round_trip(self):
         s = lebesgue_moments(4)
         again = moments_from_dict(moments_to_dict(s))
-        assert again == s
+        assert (again.n, again.max_degree) == (s.n, s.max_degree)
+        assert again.vector.tolist() == s.vector.tolist()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3), st.integers(0, 4), st.data())
+    def test_entries_in_any_order_read_in_graded_lex_order(self, n, d, data):
+        basis = list(iter_simplex(n, d))
+        values = data.draw(st.lists(FINITE, min_size=len(basis), max_size=len(basis)))
+        entries = [{"exp": list(a), "s": v} for a, v in zip(basis, values)]
+        shuffled = data.draw(st.permutations(entries))
+        s = moments_from_dict({"n": n, "max_degree": d, "values": shuffled})
+        assert s.vector.tolist() == values
+        assert moments_to_dict(s) == {"n": n, "max_degree": d, "values": entries}
 
     def test_duplicate_index_rejected(self):
         data = {
@@ -145,7 +175,7 @@ class TestApplyFunctional:
 
 class TestMomentMatrix:
     def test_hand_entries(self):
-        s = MomentSequence(1, 2, {(0,): 1.0, (1,): 0.0, (2,): 1.0})
+        s = MomentSequence(1, 2, [1.0, 0.0, 1.0])
         m = moment_matrix(s, 1)
         assert np.allclose(m, [[1.0, 0.0], [0.0, 1.0]])
 
@@ -201,11 +231,12 @@ class TestLocalizedMomentMatrix:
             g = random_sparse_poly(rng, 2, 3)
             local = localized_moment_matrix(s, g, 2)
             basis = simplex_index(2, 2).basis
+            basis7 = simplex_index(2, 7).basis
             direct = np.array(
                 [
                     [
                         math.fsum(
-                            c * s.value(tuple(x + y + z for x, y, z in zip(a, b, gamma)))
+                            c * s.vector[basis7.index(tuple(map(sum, zip(a, b, gamma))))]
                             for gamma, c in g.terms.items()
                         )
                         for b in basis
@@ -230,7 +261,7 @@ class TestLocalizedMomentMatrix:
 
 class TestMinEigenvalue:
     def test_identity(self):
-        s = MomentSequence(1, 2, {(0,): 1.0, (1,): 0.0, (2,): 1.0})
+        s = MomentSequence(1, 2, [1.0, 0.0, 1.0])
         assert min_eigenvalue(moment_matrix(s, 1)) == pytest.approx(1.0, abs=1e-12)
 
     def test_indefinite_diagonal(self):
@@ -337,7 +368,7 @@ class TestDualNormOfMoments:
 
     def test_underflowing_moment_against_overflowing_weight(self):
         # |1e-170|^2 underflows and (1e160)^2 overflows; the true term is 1e-20
-        s = MomentSequence(1, 2, {(0,): 1.0, (1,): 0.0, (2,): 1e-170})
+        s = MomentSequence(1, 2, [1.0, 0.0, 1e-170])
         w = WeightSpec(2, (1e-160,))
         assert dual_norm_profile(s, w) == [1.0, 1.0, 1.0]
         assert dual_norm_of_moments(s, w) == 1.0
