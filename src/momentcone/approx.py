@@ -4,7 +4,8 @@ Two schemes: truncated power-series square roots, whose squares converge to
 any polynomial with nonnegative constant term coefficient by coefficient, and
 numerically certified sum-of-squares decompositions that approximate
 box-nonnegative polynomials in a weighted lp norm after rescaling the box to
-the unit cube.
+the unit cube.  Both keep h_i, the SOS factors and the sum of their squares
+as dense graded-lex vectors, which poly_from_vector turns into Polynomials.
 """
 
 from __future__ import annotations
@@ -15,17 +16,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .measures import BoxSpec, _grid_points, box_from_weight
+from .measures import BoxSpec, box_from_weight, grid_points
 from .norms import WeightSpec, weighted_norm
 from .polyring import (
     MultiIndex,
     Polynomial,
     axis_scale,
+    check_finite,
     dense_coefficients,
     monomial_values,
     poly_add,
     poly_eval,
-    poly_mul,
+    poly_from_vector,
     poly_scale,
     poly_sub,
     series_sqrt,
@@ -78,24 +80,11 @@ def coefficientwise_report(f: Polynomial, i_max: int) -> list[tuple[Polynomial, 
     for i in range(i_max, 0, -1):  # largest i first: its coefficients overflow first
         shifted = coefficients[: simplex_size(f.n, i)].copy()
         shifted[0] += 1.0 / i
-        h = _finite(sqrt_coefficients(shifted, f.n, i), f.n, i)
-        square = _finite(truncated_square(h, f.n, region), f.n, region)
-        basis = simplex_index(f.n, i).basis
-        nonzero = np.flatnonzero(h).tolist()
-        terms = dict(zip([basis[k] for k in nonzero], h[nonzero].tolist()))
-        rows.append((Polynomial._trusted(f.n, terms), float(np.max(np.abs(square - target)))))
+        h = sqrt_coefficients(shifted, f.n, i)
+        h_i = poly_from_vector(f.n, i, h)
+        square = check_finite(truncated_square(h, f.n, region), f.n, region)
+        rows.append((h_i, float(np.max(np.abs(square - target)))))
     return rows[::-1]
-
-
-def _finite(coefficients: np.ndarray, n: int, degree: int) -> np.ndarray:
-    # The graded-lex vector unchanged, or the error Polynomial raises for its
-    # first entry that is not finite.
-    finite = np.isfinite(coefficients)
-    if not finite.all():
-        k = int(np.argmin(finite))
-        alpha = simplex_index(n, degree).basis[k]
-        raise ValueError(f"coefficient {float(coefficients[k])} at {alpha} is not finite")
-    return coefficients
 
 
 @dataclass(frozen=True)
@@ -116,8 +105,10 @@ class SosCertificate:
       G must have zero, f is not a sum of squares of degree-d polynomials;
     * "cap": the iteration budget ran out with neither.
 
-    square_sum is sum h_k^2 over the factors (the zero polynomial when
-    nothing is certified).
+    factors are sqrt(w_k) v_k for the eigenpairs of gram with w_k > 1e-14
+    max w, formed as dense graded-lex rows, and square_sum adds up their
+    truncated_square in factor order, rounding each coefficient exactly as
+    sum_k poly_mul(h_k, h_k) does (both are empty when nothing is certified).
     """
 
     success: bool
@@ -140,13 +131,6 @@ class SosCertificate:
         if self.success:
             return "converged"
         return "refuted" if self.dual is not None else "cap"
-
-
-def _sum_of_squares(n: int, factors: Sequence[Polynomial]) -> Polynomial:
-    total = Polynomial.zero(n)
-    for h in factors:
-        total = poly_add(total, poly_mul(h, h))
-    return total
 
 
 def _psd_project(mat: np.ndarray) -> np.ndarray:
@@ -246,8 +230,7 @@ def sos_certify(
     if f.degree > 2 * d:
         raise ValueError(f"degree {f.degree} exceeds Gram capacity {2 * d}")
     idx = simplex_index(f.n, d)
-    monomials = simplex_index(f.n, 2 * d).basis
-    targets = np.array([f.coefficient(g) for g in monomials])
+    targets = dense_coefficients(f, 2 * d)
     uniform = _uniform_moments(f.n, 2 * d)
     full = idx.hankel()
     keep, culprit = _prune_basis(full, targets)
@@ -296,21 +279,18 @@ def sos_certify(
     success = dual is None and residual <= tol
     w, v = np.linalg.eigh(gram)
     gram_min_eig = float(w[0]) if m else 0.0
-    factors: list[Polynomial] = []
-    square_sum = Polynomial.zero(f.n)
+    kept = np.flatnonzero(w > 1e-14 * float(w.max(initial=1.0))) if success else []
+    factors = np.zeros((len(kept), len(idx.basis)))
+    factors[:, rows] = (v[:, kept] * np.sqrt(w[kept])).T
+    square_sum = np.zeros(len(targets))
+    for h in factors:
+        square_sum += truncated_square(h, f.n, 2 * d)
     if success:
-        cutoff = 1e-14 * float(w.max(initial=1.0))
-        for k in range(m):
-            if w[k] > cutoff:
-                root = math.sqrt(float(w[k]))
-                coeffs = {basis[j]: root * float(v[j, k]) for j in range(m)}
-                factors.append(Polynomial(f.n, coeffs))
-        square_sum = _sum_of_squares(f.n, factors)
-        residual = max(abs(square_sum.coefficient(a) - f.coefficient(a)) for a in monomials)
+        residual = float(np.max(np.abs(square_sum - targets)))
     return SosCertificate(
         success=success,
-        factors=tuple(factors),
-        square_sum=square_sum,
+        factors=tuple(poly_from_vector(f.n, d, h) for h in factors),
+        square_sum=poly_from_vector(f.n, 2 * d, square_sum),
         gram=gram,
         basis=basis,
         residual=residual,
@@ -374,7 +354,7 @@ def _value_and_gradient(f: Polynomial):
 
 
 _SCREEN_TOL = 1e-9
-_SCREEN_GRID = 33
+_SCREEN_GRID = 33  # points per axis, fewer for n > 3: at most 33^3 points in all
 _SCREEN_STARTS = 100
 _SCREEN_STEPS = 200
 _SCREEN_CHECK = 10  # steps between stall checks of the descent
@@ -441,7 +421,10 @@ def _descend(evaluate, box: BoxSpec, seed: int) -> tuple[np.ndarray, np.ndarray]
 def screen_box_nonnegativity(f: Polynomial, box: BoxSpec, seed: int = 0):
     """Look for a point of the box where f dips below -1e-9.
 
-    The candidates are a grid of 33 points per axis plus local minimizers.
+    The candidates are a grid plus local minimizers.  The grid has the
+    largest m <= 33 points per axis with m^n <= 33^3 (33 up to n = 3, 13 at
+    n = 4, 8 at n = 5): over 33^5 points a quartic's Vandermonde alone would
+    take about 39 GB.
     For n = 1 these are exact: the minimum over an interval lies at an end or
     at a root of f', so the ends and the real parts of the roots of f'
     (np.roots), clipped to the box, are taken, and the answer is a decision
@@ -453,7 +436,10 @@ def screen_box_nonnegativity(f: Polynomial, box: BoxSpec, seed: int = 0):
     if f.n != box.n:
         raise ValueError(f"dimension mismatch: {f.n} vs {box.n}")
     evaluate = _value_and_gradient(f)
-    grid = _grid_points(box, _SCREEN_GRID)
+    m = _SCREEN_GRID
+    while m ** f.n > _SCREEN_GRID ** 3:
+        m -= 1
+    grid = grid_points(box, m)
     if f.n == 1:
         local = _critical_points(f, box)
         local_values = evaluate(local)[:, 0]
@@ -476,14 +462,15 @@ def box_sos_approx(
     tol: float = 1e-8,
     max_iters: int = 5000,
     seed: int = 0,
-    skip_screening: bool = False,
 ) -> BoxApproxResult:
     """Approximate a box-nonnegative f by a certified sum of squares.
 
     Rescales the box of w to the unit cube, perturbs by eps times the even
     series tail (depth D = 2..d_max), certifies the candidate, and maps the
-    factors back.  The reported weighted distance equals the unit-box lp
-    distance of the pre-image certificate up to roundoff.
+    factors back.  Both distances come from the one gap f_unit - square_sum:
+    unit_distance is its unweighted lp norm, and distance the
+    ||.||_{p,r} norm of the gap mapped back to the box of w, which the
+    diagonal isometry makes equal to unit_distance up to roundoff.
 
     Success needs f_unit + eps * theta_D to be a sum of squares on all of
     R^n, where theta_D = square_perturbation(n, D) <= exp(sum_i X_i^2).  If f
@@ -501,11 +488,10 @@ def box_sos_approx(
     if d_max < 2:
         raise ValueError("d_max must be >= 2")
     box = box_from_weight(w)
-    if not skip_screening:
-        violation = screen_box_nonnegativity(f, box, seed=seed)
-        if violation is not None:
-            point, value = violation
-            return BoxApproxResult("negative-on-box", eps, witness=point, witness_value=value)
+    violation = screen_box_nonnegativity(f, box, seed=seed)
+    if violation is not None:
+        point, value = violation
+        return BoxApproxResult("negative-on-box", eps, witness=point, witness_value=value)
 
     halfwidths = box.upper
     f_unit = axis_scale(f, halfwidths)
@@ -518,12 +504,10 @@ def box_sos_approx(
         certificate = sos_certify(candidate, gram_degree, tol=tol, max_iters=max_iters)
         last_certificate = certificate
         if certificate.success:
-            # squares of the rescaled factors, not the rescaled unit-box sum:
-            # the two differ at round-off whenever the box is not [-1, 1]^n
             factors = tuple(axis_scale(h, inverse) for h in certificate.factors)
-            distance = weighted_norm(poly_sub(f, _sum_of_squares(f.n, factors)), w)
-            unit_gap = poly_sub(f_unit, certificate.square_sum)
-            unit_distance = weighted_norm(unit_gap, WeightSpec(w.p, ones))
+            gap = poly_sub(f_unit, certificate.square_sum)
+            distance = weighted_norm(axis_scale(gap, inverse), w)
+            unit_distance = weighted_norm(gap, WeightSpec(w.p, ones))
             return BoxApproxResult(
                 "certified", eps, certificate, factors, distance, unit_distance, depth
             )
@@ -538,18 +522,17 @@ def convergence_sweep(
 ) -> list[BoxApproxResult]:
     """Run box_sos_approx along a decreasing eps schedule.
 
-    The box precondition is screened once, by the run at the first eps; if f
-    is negative on the box that run's result is the only one returned.
+    The seeded screen gives every eps the same verdict, so if f is negative
+    on the box the first run's result is the only one returned.
     """
     schedule = [float(e) for e in eps_schedule]
     if not schedule:
         raise ValueError("eps schedule must be nonempty")
     if any(b >= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("eps schedule must be strictly decreasing")
-
-    first = box_sos_approx(f, w, schedule[0], d_max)
-    if first.reason == "negative-on-box":
-        return [first]
-    return [first] + [
-        box_sos_approx(f, w, eps, d_max, skip_screening=True) for eps in schedule[1:]
-    ]
+    results = []
+    for eps in schedule:
+        results.append(box_sos_approx(f, w, eps, d_max))
+        if results[-1].reason == "negative-on-box":
+            break
+    return results

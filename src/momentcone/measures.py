@@ -133,7 +133,8 @@ class RecoveryResult:
     iterations: int
 
 
-def _grid_points(box: BoxSpec, grid_m: int) -> np.ndarray:
+def grid_points(box: BoxSpec, grid_m: int) -> np.ndarray:
+    """The grid of grid_m evenly spaced points per axis of the box, as (grid_m**n, n)."""
     axes = [np.linspace(lo, hi, grid_m) for lo, hi in zip(box.lower, box.upper)]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.reshape(-1) for m in mesh], axis=1)
@@ -203,8 +204,8 @@ def recover_measure(
         raise ValueError(f"dimension mismatch: box has n={box.n}, moments have n={s.n}")
     if grid_m < 2:
         raise ValueError("need at least 2 grid points per axis")
-    points = _grid_points(box, grid_m)
-    unit_points = _grid_points(BoxSpec.from_halfwidths((1.0,) * s.n), grid_m)
+    points = grid_points(box, grid_m)
+    unit_points = grid_points(BoxSpec.from_halfwidths((1.0,) * s.n), grid_m)
     exponents = simplex_index(s.n, s.max_degree).exponents
     a_unit = monomial_values(unit_points, exponents).T
     b = s.vector

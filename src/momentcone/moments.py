@@ -19,6 +19,7 @@ import numpy as np
 from .norms import WeightSpec, dual_weight, term_magnitude
 from .polyring import (
     Polynomial,
+    check_finite,
     entries_by_exponent,
     grlex_rank,
     integer_field,
@@ -55,10 +56,7 @@ class MomentSequence:
         if vector.ndim != 1:
             raise ValueError(f"moment values must be a flat vector, got shape {vector.shape}")
         _check_simplex_count(self.n, self.max_degree, len(vector))
-        bad = np.flatnonzero(~np.isfinite(vector))
-        if bad.size:
-            alpha = simplex_index(self.n, self.max_degree).basis[bad[0]]
-            raise ValueError(f"moment value {vector[bad[0]]} at {alpha} is not finite")
+        check_finite(vector, self.n, self.max_degree, "moment value")
         vector.setflags(write=False)
         object.__setattr__(self, "vector", vector)
 

@@ -147,13 +147,32 @@ def scaling_isometry(s: Polynomial, w: WeightSpec, direction: str = "forward") -
     return axis_scale(s, tuple(v ** exponent for v in w.r))
 
 
+def _ratios(xs: tuple[float, ...], dual: DualSpec) -> list[float]:
+    # |x_i|^q r'_i, with a power too large for a float read as inf (so >= 1)
+    ratios = []
+    for xi, rp in zip(xs, dual.r_prime):
+        try:
+            ratios.append(abs(xi) ** float(dual.q) * rp)
+        except OverflowError:
+            ratios.append(math.inf)
+    return ratios
+
+
+def _monomials(bases: list[float], exponents: np.ndarray) -> np.ndarray:
+    # bases^a over the exponents.  A nan is inf * 0 from a power that overflowed,
+    # and that base's pure power, also in the simplex, is inf: the nan reads as inf.
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = monomial_values([bases], exponents)[0]
+    return np.where(np.isnan(values), math.inf, values)
+
+
 def eval_sequence_norm(x, w: WeightSpec) -> float:
     """Dual-space norm of the point-power sequence (x^a)_a, or math.inf.
 
     For dual exponent q < inf the value has the closed product form
     (prod_i 1/(1 - |x_i|^q r'_i))^(1/q), finite exactly when every factor
-    ratio is < 1; for dual exponent inf the sup is 1 when all |x_i| r'_i <= 1
-    and infinite otherwise.
+    ratio is < 1 (a ratio too large for a float counts as >= 1); for dual
+    exponent inf the sup is 1 when all |x_i| r'_i <= 1 and infinite otherwise.
     """
     xs = tuple(float(v) for v in x)
     if len(xs) != w.n:
@@ -163,7 +182,7 @@ def eval_sequence_norm(x, w: WeightSpec) -> float:
         ok = all(abs(xi) * rp <= 1.0 for xi, rp in zip(xs, dual.r_prime))
         return 1.0 if ok else math.inf
     qf = float(dual.q)
-    ratios = [abs(xi) ** qf * rp for xi, rp in zip(xs, dual.r_prime)]
+    ratios = _ratios(xs, dual)
     if any(t >= 1.0 for t in ratios):
         return math.inf
     prod = 1.0
@@ -173,7 +192,8 @@ def eval_sequence_norm(x, w: WeightSpec) -> float:
 
 
 def eval_sequence_norm_partial(x, w: WeightSpec, max_degree: int) -> float:
-    """Truncation of eval_sequence_norm to multi-indices with |a| <= max_degree."""
+    """Truncation of eval_sequence_norm to multi-indices with |a| <= max_degree;
+    inf when a term is too large for a float."""
     xs = tuple(float(v) for v in x)
     if len(xs) != w.n:
         raise ValueError(f"point has dimension {len(xs)}, expected {w.n}")
@@ -181,10 +201,8 @@ def eval_sequence_norm_partial(x, w: WeightSpec, max_degree: int) -> float:
     exponents = simplex_index(w.n, max_degree).exponents
     if dual.q == math.inf:
         factors = [abs(xi) * rp for xi, rp in zip(xs, dual.r_prime)]
-        return float(np.max(monomial_values([factors], exponents)))
-    qf = float(dual.q)
-    ratios = [abs(xi) ** qf * rp for xi, rp in zip(xs, dual.r_prime)]
-    return math.fsum(monomial_values([ratios], exponents)[0]) ** (1.0 / qf)
+        return float(np.max(_monomials(factors, exponents)))
+    return math.fsum(_monomials(_ratios(xs, dual), exponents)) ** (1.0 / float(dual.q))
 
 
 def is_evaluation_continuous(x, w: WeightSpec) -> bool:

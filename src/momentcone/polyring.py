@@ -13,6 +13,10 @@ np.bincount over pair tables cached per (n, degree), like simplex_index.
 bincount adds in input order and the tables list each coefficient's pairs in
 the order poly_mul visits them, so every coefficient is rounded exactly as
 the sparse arithmetic rounds it.
+
+poly_from_vector is the only way from such a vector back to a Polynomial:
+it checks finiteness (check_finite, which names the first bad exponent),
+drops zeros and keeps the graded-lex order as given.
 """
 
 from __future__ import annotations
@@ -157,15 +161,6 @@ class Polynomial:
         object.__setattr__(self, "terms", MappingProxyType(_canonical(self.n, self.terms)))
 
     @classmethod
-    def _trusted(cls, n: int, terms: dict[MultiIndex, float]) -> Polynomial:
-        # For terms that are already finite, nonzero, keyed by tuples of ints
-        # and in graded-lex order: skips the checks of __post_init__.
-        poly = object.__new__(cls)
-        object.__setattr__(poly, "n", n)
-        object.__setattr__(poly, "terms", MappingProxyType(terms))
-        return poly
-
-    @classmethod
     def zero(cls, n: int) -> Polynomial:
         return cls(n, {})
 
@@ -298,7 +293,11 @@ def axis_scale(f: Polynomial, scales) -> Polynomial:
         factor = 1.0
         for c, a in zip(cs, alpha):
             if a:
-                factor *= c ** a
+                try:
+                    factor *= c ** a
+                except OverflowError:  # the constructor rejects the coefficient as not finite
+                    factor = math.inf
+                    break
         out[alpha] = coef * factor
     return Polynomial(f.n, out)
 
@@ -308,6 +307,31 @@ def homogeneous_part(f: Polynomial, d: int) -> Polynomial:
     if d < 0:
         raise ValueError("degree must be >= 0")
     return Polynomial(f.n, {a: c for a, c in f.terms.items() if sum(a) == d})
+
+
+def check_finite(vector: np.ndarray, n: int, degree: int, what: str = "coefficient") -> np.ndarray:
+    """The graded-lex vector over simplex_index(n, degree).basis unchanged, or
+    a ValueError naming its first entry that is not finite and that exponent."""
+    finite = np.isfinite(vector)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        alpha = simplex_index(n, degree).basis[k]
+        raise ValueError(f"{what} {float(vector[k])} at {alpha} is not finite")
+    return vector
+
+
+def poly_from_vector(n: int, degree: int, vector: np.ndarray) -> Polynomial:
+    """The Polynomial whose coefficient at simplex_index(n, degree).basis[i] is
+    vector[i], for a float vector over that whole basis: finiteness is
+    checked, zeros are dropped, and the terms keep the graded-lex order of
+    the vector, so no exponent is re-checked and nothing is re-sorted."""
+    basis = simplex_index(n, degree).basis
+    nonzero = np.flatnonzero(check_finite(vector, n, degree))
+    poly = object.__new__(Polynomial)
+    object.__setattr__(poly, "n", n)
+    terms = dict(zip([basis[k] for k in nonzero.tolist()], vector[nonzero].tolist()))
+    object.__setattr__(poly, "terms", MappingProxyType(terms))
+    return poly
 
 
 def dense_coefficients(f: Polynomial, degree: int) -> np.ndarray:
@@ -405,7 +429,7 @@ def series_sqrt(f: Polynomial, max_degree: int) -> Polynomial:
     if f.constant_term <= 0.0:
         raise ValueError("series square root needs a strictly positive constant term")
     g = sqrt_coefficients(dense_coefficients(f, max_degree), f.n, max_degree)
-    return Polynomial(f.n, dict(zip(simplex_index(f.n, max_degree).basis, g.tolist())))
+    return poly_from_vector(f.n, max_degree, g)
 
 
 def poly_to_dict(f: Polynomial) -> dict:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from momentcone import (
@@ -25,7 +25,7 @@ from momentcone import (
     square_perturbation,
     weighted_norm,
 )
-from momentcone.approx import _sum_of_squares
+import momentcone.approx as approx_module
 from momentcone.measures import BoxSpec
 from conftest import random_sparse_poly
 
@@ -33,6 +33,14 @@ X = Polynomial.variable(1, 0)
 ONE_MINUS_XSQ = Polynomial(1, {(0,): 1.0, (2,): -1.0})
 UNIT_BOX = BoxSpec((-1.0,), (1.0,))
 SQUARE = BoxSpec((-1.0, -1.0), (1.0, 1.0))
+
+
+def sparse_square_sum(n, factors):
+    """sum_k h_k * h_k by the sparse chain poly_add(total, poly_mul(h, h))."""
+    total = Polynomial.zero(n)
+    for h in factors:
+        total = poly_add(total, poly_mul(h, h))
+    return total
 
 
 class TestSqrtSquareApprox:
@@ -105,9 +113,10 @@ class TestCoefficientwiseReport:
         with pytest.raises(ValueError, match=r"coefficient inf at \(2,\) is not finite"):
             coefficientwise_report(f, 1)
 
-    def test_last_row_holds_sqrt_square_approx(self):
+    def test_every_row_holds_sqrt_square_approx(self):
         f = Polynomial(2, {(0, 0): 0.5, (1, 1): 1.0, (3, 0): -5.0})
-        assert coefficientwise_report(f, 6)[-1][0].terms == sqrt_square_approx(f, 6).terms
+        for i, (h, _) in enumerate(coefficientwise_report(f, 6), 1):
+            assert list(h.terms.items()) == list(sqrt_square_approx(f, i).terms.items())
 
 
 class TestSosCertify:
@@ -146,7 +155,7 @@ class TestSosCertify:
         f = Polynomial(2, {(0, 0): 1.0, (2, 0): 1.0, (1, 1): 0.5, (0, 2): 1.0})
         cert = sos_certify(f, 1)
         assert cert.success
-        assert dict(cert.square_sum.terms) == dict(_sum_of_squares(2, cert.factors).terms)
+        assert dict(cert.square_sum.terms) == dict(sparse_square_sum(2, cert.factors).terms)
 
     def test_degree_capacity_check(self):
         with pytest.raises(ValueError):
@@ -268,6 +277,19 @@ class TestGramSearchProperties:
             assert cert.dual is None
         if kind == "square":
             assert cert.stop != "refuted"
+
+    @settings(max_examples=40, deadline=None)
+    @given(POLYS, st.integers(0, 2))
+    def test_square_sum_is_the_sparse_sum_term_for_term(self, drawn, extra):
+        # a square plus a margin of basis squares certifies; the dense sum of
+        # truncated squares must round every coefficient as poly_mul/poly_add do
+        n, terms = drawn
+        g = Polynomial(n, terms)
+        margin = Polynomial(n, {tuple(2 * a for a in alpha): 0.1 for alpha in terms})
+        cert = sos_certify(poly_add(poly_mul(g, g), margin), 2 + extra, max_iters=300)
+        assume(cert.success)
+        expected = sparse_square_sum(n, cert.factors)
+        assert list(cert.square_sum.terms.items()) == list(expected.terms.items())
 
     @settings(max_examples=40, deadline=None)
     @given(POLYS)
@@ -443,6 +465,26 @@ class TestScreening:
         box = BoxSpec((-1.0, -1.5), (1.0, 1.5))
         point, value = screen_box_nonnegativity(f, box, seed=seed)
         assert value == pytest.approx(sum(minima), abs=1e-9)
+
+    @pytest.mark.parametrize("n, per_axis", [(3, 33), (4, 13), (5, 8)])
+    def test_grid_capped_at_33_cubed_points(self, n, per_axis, monkeypatch):
+        # a 5-variable quartic: 33 points per axis would be 33^5 points and a
+        # Vandermonde of tens of GB
+        sizes, grid_points = [], approx_module.grid_points
+
+        def recording(box, grid_m):
+            sizes.append(grid_m)
+            return grid_points(box, grid_m)
+
+        monkeypatch.setattr(approx_module, "grid_points", recording)
+        box = BoxSpec((-1.0,) * n, (1.0,) * n)
+        axes = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+        quartic = Polynomial(n, {(0,) * n: 0.1, **{tuple(4 * a for a in e): 1.0 for e in axes}})
+        assert screen_box_nonnegativity(quartic, box) is None
+        bowl = Polynomial(n, {(0,) * n: 0.5, **{tuple(2 * a for a in e): -1.0 for e in axes}})
+        point, value = screen_box_nonnegativity(bowl, box)
+        assert value == pytest.approx(0.5 - n, abs=1e-9)
+        assert sizes == [per_axis, per_axis] and per_axis ** n <= 33 ** 3 < (per_axis + 1) ** n
 
     def test_witness_in_box_with_exact_value(self):
         f = Polynomial(2, {(0, 0): 0.2, (1, 1): -3.0, (3, 0): 1.0, (0, 4): -0.5})

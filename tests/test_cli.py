@@ -128,6 +128,16 @@ class TestEvalContCommand:
     def test_weighted_closed_box(self, capsys):
         assert main(["eval-cont", "--x", "2", "--p", "1", "--r", "4"]) == 0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--x", "1e200", "--p", "2", "--r", "1"], ["--x=-1e200,0.5", "--p", "3/2", "--r", "1,1"]],
+    )
+    def test_overflowing_power_is_a_verdict(self, argv, capsys):
+        assert main(["eval-cont", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "not continuous, dual_norm=+inf\n"
+        assert captured.err == ""
+
 
 class TestPsdCheckCommand:
     def test_pass(self, workdir, capsys):
@@ -335,6 +345,15 @@ class TestSosApproxCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: coefficients too large for the Gram search\n"
+
+    def test_overflowing_rescale_exit_one(self, workdir, capsys):
+        # the factors map back to a box of halfwidth 1e-300: (1e300)^2 overflows
+        argv = ["sos-approx", "--f", workdir["one_minus_xsq"], "--p", "1", "--r", "1e-300",
+                "--eps", "0.5", "--dmax", "2"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: coefficient -inf at (2,) is not finite\n"
 
 
 class TestRecoverMeasureCommand:

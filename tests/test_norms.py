@@ -158,6 +158,18 @@ class TestEvalSequenceNorm:
         assert eval_sequence_norm_partial((2.0,), w, 50) == 1.0
         assert eval_sequence_norm((2.0,), w) == 1.0
 
+    def test_overflowing_ratio_is_not_continuous(self):
+        # |x|^q overflows a float: the ratio counts as >= 1, not as an error
+        assert eval_sequence_norm((1e200,), WeightSpec(2, (1.0,))) == math.inf
+        assert eval_sequence_norm((-1e200, 0.5), WeightSpec(Fraction(3, 2), (1.0, 1.0))) == math.inf
+        assert eval_sequence_norm_partial((1e200,), WeightSpec(2, (1.0,)), 3) == math.inf
+
+    def test_overflowing_partial_terms_are_infinite(self):
+        # a power overflows beside a zero coordinate (inf * 0), for q finite and q = inf
+        assert eval_sequence_norm_partial((1e150, 0.0), WeightSpec(2, (1.0, 1.0)), 3) == math.inf
+        assert eval_sequence_norm_partial((1e200, 0.0), WeightSpec(1, (1.0, 1.0)), 3) == math.inf
+        assert eval_sequence_norm_partial((1e200,), WeightSpec(2, (1.0,)), 0) == 1.0
+
 
 class TestEvaluationContinuity:
     def test_interior_point(self):

@@ -1,6 +1,7 @@
 """Style checks over src/, tests/ and scripts/: every imported name is used
-(package __init__ re-exports and __future__ imports are exempt) and no line
-is longer than 100 characters."""
+(package __init__ re-exports and __future__ imports are exempt), no line is
+longer than 100 characters, and no module under src/ imports a private
+(underscore) name from another module of the package."""
 
 import ast
 from pathlib import Path
@@ -47,3 +48,24 @@ def test_line_length():
         if len(line) > MAX_LINE
     ]
     assert not found, f"lines over {MAX_LINE} characters:\n" + "\n".join(found)
+
+
+def private_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [
+        f"{alias.name} (line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")  # dunders are public
+    ]
+
+
+def test_no_private_imports_across_src_modules():
+    found = [
+        f"{path.relative_to(ROOT)}: {item}"
+        for path in FILES
+        if path.is_relative_to(ROOT / "src")
+        for item in private_imports(path)
+    ]
+    assert not found, "private names imported across modules:\n" + "\n".join(found)
