@@ -51,6 +51,7 @@ from .approx import (
     BoxApproxResult,
     SosCertificate,
     box_sos_approx,
+    bracket_box_minimum,
     coefficientwise_report,
     convergence_sweep,
     screen_box_nonnegativity,

@@ -10,13 +10,14 @@ as dense graded-lex vectors, which poly_from_vector turns into Polynomials.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .measures import BoxSpec, box_from_weight, grid_points
+from .measures import BoxSpec, box_from_weight
 from .norms import WeightSpec, weighted_norm
 from .polyring import (
     MultiIndex,
@@ -334,124 +335,170 @@ class BoxApproxResult:
         return self.reason == "certified"
 
 
-def _value_and_gradient(f: Polynomial):
-    """A map from points (k, n) to [f, df/dx_1, ..., df/dx_n] as a (k, 1 + n) array.
-
-    d/dx_j of c X^E is c E_j X^max(E - e_j, 0), so every column is a
-    polynomial on f's exponents shifted by 0 or by a unit vector e_j: one
-    Vandermonde over the union of the shifted exponents times a
-    (terms x (1 + n)) coefficient matrix gives all 1 + n columns.
-    """
-    exponents = np.array(list(f.terms), dtype=np.int64).reshape(-1, f.n)
-    coefs = np.array(list(f.terms.values()))
-    shifts = np.vstack([np.zeros(f.n, dtype=np.int64), np.eye(f.n, dtype=np.int64)])
-    stacked = np.maximum(exponents - shifts[:, None, :], 0).reshape(-1, f.n)
-    factors = np.column_stack([np.ones(len(f.terms)), exponents]).T * coefs
-    union, rows = np.unique(stacked, axis=0, return_inverse=True)
-    matrix = np.zeros((len(union), 1 + f.n))
-    np.add.at(matrix, (rows.ravel(), np.repeat(np.arange(1 + f.n), len(f.terms))), factors.ravel())
-    return lambda points: monomial_values(points, union) @ matrix
-
-
 _SCREEN_TOL = 1e-9
-_SCREEN_GRID = 33  # points per axis, fewer for n > 3: at most 33^3 points in all
-_SCREEN_STARTS = 100
-_SCREEN_STEPS = 200
-_SCREEN_CHECK = 10  # steps between stall checks of the descent
-_SCREEN_STALL = 1e-12
-_ARMIJO = 1e-4
+_SCREEN_BUDGET = 1 << 16  # Bernstein coefficients one bracket may form in all
 
 
-def _critical_points(f: Polynomial, box: BoxSpec) -> np.ndarray:
-    """The ends of a 1-D box and the real parts of the roots of f', clipped to it, as (k, 1).
+def _interval_minimizer(k: np.ndarray, coefs: np.ndarray, c: float) -> float:
+    """The point of [-c, c] where sum_i coefs[i] x^k[i] (distinct k) is least.
 
-    The roots are taken in u = x / c on [-1, 1], where c is the half-width, and
-    leading coefficients of f'(c u) below eps times the largest are dropped:
-    they move the roots inside the box by no more than np.roots' own error,
-    while a subnormal one would overflow its companion matrix.
+    It is an end or a root of the derivative (np.roots, real parts clipped to
+    the interval).  The roots are those of the derivative in u = x / c:
+    leading coefficients below eps times the largest are dropped, since they
+    move the roots in [-1, 1] by no more than np.roots' own error, while a
+    subnormal one would overflow its companion matrix.
     """
-    c = box.upper[0]
-    k = np.array([alpha[0] for alpha in f.terms], dtype=np.int64)
-    coefs = np.array(list(f.terms.values()))
     rising = k > 0
-    derivative = np.zeros(max(f.degree, 1))  # f'(c u), highest degree first
-    derivative[f.degree - k[rising]] = k[rising] * coefs[rising] * c ** k[rising]
+    degree = int(k.max(initial=0))
+    derivative = np.zeros(max(degree, 1))  # highest degree first
+    derivative[degree - k[rising]] = k[rising] * coefs[rising] * c ** k[rising]
     kept = np.flatnonzero(np.abs(derivative) > np.finfo(float).eps * np.abs(derivative).max())
     roots = np.roots(derivative[kept[0]:]) if kept.size else np.empty(0)
-    ends = np.array([-c, c])
-    return np.concatenate([ends, np.clip(roots.real * c, -c, c)])[:, None]
+    points = np.concatenate([[-c, c], np.clip(roots.real * c, -c, c)])
+    return float(points[int(np.argmin(monomial_values(points[:, None], k[:, None]) @ coefs))])
 
 
-def _descend(evaluate, box: BoxSpec, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Batched projected gradient descent from 100 seeded uniform starts.
-
-    Each step clips x - t grad f(x) to the box under a per-start Armijo rule
-    (t halves on rejection and doubles on acceptance).  Every 10 steps, a
-    start whose value fell by at most 1e-12 max(1, |f|) since the last check
-    stops; the loop ends when every start has stopped, or after 200 steps.
-    Returns the final points and their values.
-    """
-    lows = np.array(box.lower)
-    highs = np.array(box.upper)
-    x = np.random.default_rng(seed).uniform(lows, highs, size=(_SCREEN_STARTS, box.n))
-    vg = evaluate(x)
-    step = np.ones(_SCREEN_STARTS)
-    checked = vg[:, 0].copy()
-    done = []  # (points, values) of the starts that stopped, batch by batch
-    for k in range(1, _SCREEN_STEPS + 1):
-        trial = np.clip(x - step[:, None] * vg[:, 1:], lows, highs)
-        trial_vg = evaluate(trial)
-        decrease = np.sum(vg[:, 1:] * (trial - x), axis=1)
-        accept = trial_vg[:, 0] <= vg[:, 0] + _ARMIJO * decrease
-        x[accept] = trial[accept]
-        vg[accept] = trial_vg[accept]
-        step = np.where(accept, 2.0 * step, 0.5 * step)
-        if k % _SCREEN_CHECK == 0:
-            value = vg[:, 0]
-            moving = checked - value > _SCREEN_STALL * np.maximum(1.0, np.abs(value))
-            done.append((x[~moving], value[~moving]))
-            x, vg, step = x[moving], vg[moving], step[moving]
-            checked = vg[:, 0].copy()
-            if not len(x):
-                break
-    done.append((x, vg[:, 0]))
-    return np.concatenate([p for p, _ in done]), np.concatenate([v for _, v in done])
+def _polish(f: Polynomial, point: np.ndarray, half: np.ndarray):
+    """(point, poly_eval(f, point)) after sweeps of exact minimisation along
+    each axis in turn, until a sweep gains at most 1e-12 max(1, |f|) or after
+    20 sweeps.  No sweep raises f beyond the accuracy of the roots."""
+    exponents = np.array(list(f.terms), dtype=np.int64).reshape(-1, f.n)
+    coefs = np.array(list(f.terms.values()))
+    x = point.copy()
+    value = poly_eval(f, tuple(x.tolist()))
+    for _ in range(20):
+        trial = x.copy()
+        for i in range(f.n):
+            trial[i] = 1.0  # the coefficients of f along axis i through trial
+            line = np.bincount(exponents[:, i], monomial_values(trial[None], exponents)[0] * coefs)
+            k = np.flatnonzero(line)
+            trial[i] = _interval_minimizer(k, line[k], half[i])
+        trial_value = poly_eval(f, tuple(trial.tolist()))
+        gain = value - trial_value
+        if gain > 0:
+            x, value = trial, trial_value
+        if not gain > 1e-12 * max(1.0, abs(value)):
+            break
+    return tuple(x.tolist()), value
 
 
-def screen_box_nonnegativity(f: Polynomial, box: BoxSpec, seed: int = 0):
-    """Look for a point of the box where f dips below -1e-9.
+def bracket_box_minimum(f: Polynomial, box: BoxSpec, threshold: float = math.inf):
+    """(lower, upper, point, entries, stop) with lower <= min_K f <= upper =
+    poly_eval(f, point), point in the box K, by tensor Bernstein subdivision.
 
-    The candidates are a grid plus local minimizers.  The grid has the
-    largest m <= 33 points per axis with m^n <= 33^3 (33 up to n = 3, 13 at
-    n = 4, 8 at n = 5): over 33^5 points a quartic's Vandermonde alone would
-    take about 39 GB.
-    For n = 1 these are exact: the minimum over an interval lies at an end or
-    at a root of f', so the ends and the real parts of the roots of f'
-    (np.roots), clipped to the box, are taken, and the answer is a decision
-    up to the accuracy of the roots.  For n >= 2 they are the end points of
-    a seeded multistart descent (`_descend`), and the absence of a violation
-    is evidence, not proof.  Returns (point, value) for the lowest
-    candidate, with the value evaluated by poly_eval, or None.
+    The Bernstein coefficients of f on a sub-box, with the degree of each
+    axis, bound f from below there, and the corner ones are values of f
+    (Garloff 1986).  Each level halves every sub-box left along the next
+    axis that f depends on, in turn (de Casteljau), keeping a sub-box only
+    while its least coefficient is below both threshold and the best corner
+    value minus 1e-9; a level's sub-boxes are one stacked array.  lower is
+    the least coefficient left (a Handelman certificate of f >= lower on K),
+    and entries counts the coefficients formed.  stop is "closed" when no
+    sub-box is left, and then upper - lower <= 1e-9 or lower >= threshold,
+    or "budget" when the next level would pass _SCREEN_BUDGET entries.
+
+    A budget stop leaves upper as evidence only.  f is then evaluated at the
+    Greville points of the sub-boxes left (coefficient j of an axis of
+    degree d sits at j/d of its width), where the coefficients approximate
+    f, and the least point is polished by exact minimisation along each
+    axis in turn.  When the coefficients on K and the per-axis maps alone
+    would pass the budget, none is formed: lower is -inf, and the polish
+    starts from the centre of K.
     """
     if f.n != box.n:
         raise ValueError(f"dimension mismatch: {f.n} vs {box.n}")
-    evaluate = _value_and_gradient(f)
-    m = _SCREEN_GRID
-    while m ** f.n > _SCREEN_GRID ** 3:
-        m -= 1
-    grid = grid_points(box, m)
-    if f.n == 1:
-        local = _critical_points(f, box)
-        local_values = evaluate(local)[:, 0]
-    else:
-        local, local_values = _descend(evaluate, box, seed)
-    points = np.concatenate([grid, local])
-    values = np.concatenate([evaluate(grid)[:, 0], local_values])
-    witness = tuple(float(v) for v in points[int(np.argmin(values))])
-    value = poly_eval(f, witness)
-    if value < -_SCREEN_TOL:
-        return witness, value
-    return None
+    n, half = f.n, np.array(box.upper)  # a BoxSpec is symmetric about the origin
+    exponents = np.array(list(f.terms), dtype=np.int64).reshape(-1, n)
+    degrees = exponents.max(axis=0, initial=0)
+    sizes = (degrees + 1).tolist()
+    if math.prod(sizes) + sum(size * size for size in sizes) > _SCREEN_BUDGET:
+        point, upper = _polish(f, np.zeros(n), half)
+        return -math.inf, upper, point, 0, "budget"
+    coefs = np.zeros(degrees + 1)
+    coefs[tuple(exponents.T)] = list(f.terms.values())
+    halving = []  # per axis
+    for i, d in enumerate(map(int, degrees)):
+        # to_bernstein[j, k], the j-th Bernstein coefficient of u^k on [-1, 1], is the
+        # Krawtchouk value K_k(d - j) / C(d, k), with K_k in exact integers from the
+        # recurrence (k + 1) K_{k+1}(x) = (d - 2x) K_k(x) - (d - k + 1) K_{k-1}(x).
+        # halving maps the coefficients on an interval to those on its left half,
+        # then its right half (de Casteljau at the midpoint, left[j, k] = C(j, k) / 2^j).
+        x = np.arange(d, -1, -1, dtype=object)  # d - j for j = 0..d
+        columns = [np.ones(d + 1, dtype=object), d - 2 * x]
+        for k in range(1, d):
+            columns.append(((d - 2 * x) * columns[k] - (d - k + 1) * columns[k - 1]) // (k + 1))
+        to_bernstein = np.array([col / math.comb(d, k) for k, col in enumerate(columns[: d + 1])])
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            scaled = to_bernstein.T.astype(float) * half[i] ** np.arange(d + 1)
+            coefs = np.moveaxis(np.tensordot(scaled, coefs, axes=(1, i)), 0, i)
+        left = np.array([[math.comb(j, k) / 2**j for k in range(d + 1)] for j in range(d + 1)])
+        halving.append(np.vstack([left, left[::-1, ::-1]]))
+    if not np.isfinite(coefs).all():
+        raise ValueError("coefficients too large for the box screen")
+    bits = np.indices((2,) * n).reshape(n, -1).T  # corner offsets, in widths
+    corner_at = np.ravel_multi_index(tuple((bits * degrees).T), coefs.shape)
+    stack, lows, width = coefs[None], np.zeros((1, n)), np.ones(n)  # in t = (x/c + 1) / 2
+    entries, best, best_t, lower = coefs.size, math.inf, None, math.inf
+    axes, unit = itertools.cycle(np.flatnonzero(degrees).tolist()), np.eye(n)
+    while True:
+        flat = stack.reshape(len(stack), -1)
+        bounds, corners = flat.min(axis=1), flat[:, corner_at]
+        k = int(np.argmin(corners))
+        if corners.flat[k] < best:
+            best = float(corners.flat[k])
+            best_t = lows[k // len(bits)] + bits[k % len(bits)] * width
+        keep = bounds < min(threshold, best - _SCREEN_TOL)
+        kept = int(np.count_nonzero(keep))
+        if not kept or entries + 2 * kept * coefs.size > _SCREEN_BUDGET:
+            lower = min(lower, float(bounds.min()))
+            break
+        lower = min(lower, float(bounds[~keep].min(initial=math.inf)))
+        stack, lows = stack[keep], lows[keep]
+        axis = next(axes)
+        d = int(degrees[axis])
+        halves = np.moveaxis(stack, axis + 1, -1) @ halving[axis].T
+        halves = np.concatenate([halves[..., : d + 1], halves[..., d + 1:]])  # left, then right
+        stack = np.moveaxis(halves, -1, axis + 1)
+        width[axis] /= 2.0
+        lows = np.concatenate([lows, lows + unit[axis] * width[axis]])
+        entries += stack.size
+    if kept:  # a budget stop: evaluate the Bernstein form at the Greville points
+        values = stack[keep]
+        for i, d in enumerate(map(int, degrees)):
+            # at_greville[j, k] is the k-th Bernstein polynomial of degree d at j / d
+            t, k = np.arange(d + 1)[:, None] / max(d, 1), np.arange(d + 1)
+            binomials = np.array([math.comb(d, j) for j in range(d + 1)], dtype=float)
+            at_greville = binomials * t**k * (1.0 - t) ** (d - k)
+            values = np.moveaxis(np.moveaxis(values, i + 1, -1) @ at_greville.T, -1, i + 1)
+        k = int(np.argmin(values))
+        if values.flat[k] < best:
+            box_at, j = divmod(k, coefs.size)
+            index = np.array(np.unravel_index(j, coefs.shape))
+            best_t = lows[keep][box_at] + index / np.maximum(degrees, 1) * width
+        point, upper = _polish(f, half * (2.0 * best_t - 1.0), half)
+        return min(lower, upper), upper, point, entries, "budget"
+    point = tuple(float(v) for v in half * (2.0 * best_t - 1.0))
+    upper = poly_eval(f, point)
+    return min(lower, upper), upper, point, entries, "closed"
+
+
+def screen_box_nonnegativity(f: Polynomial, box: BoxSpec):
+    """(point, poly_eval(f, point)) for a point of the box where f < -1e-9, or None.
+
+    For n = 1 the minimum lies at an end of [-c, c] or at a root of f'
+    (_interval_minimizer), which decides up to the accuracy of the roots.
+    For n >= 2 bracket_box_minimum with threshold -1e-9 decides, unless it
+    stops on its budget with no point below -1e-9 found.
+    """
+    if f.n != box.n:
+        raise ValueError(f"dimension mismatch: {f.n} vs {box.n}")
+    if f.n >= 2:
+        _, value, point, _, _ = bracket_box_minimum(f, box, threshold=-_SCREEN_TOL)
+        return (point, value) if value < -_SCREEN_TOL else None
+    k = np.array([alpha[0] for alpha in f.terms], dtype=np.int64)
+    point = (_interval_minimizer(k, np.array(list(f.terms.values())), box.upper[0]),)
+    value = poly_eval(f, point)
+    return (point, value) if value < -_SCREEN_TOL else None
 
 
 def box_sos_approx(
@@ -461,13 +508,14 @@ def box_sos_approx(
     d_max: int,
     tol: float = 1e-8,
     max_iters: int = 5000,
-    seed: int = 0,
 ) -> BoxApproxResult:
     """Approximate a box-nonnegative f by a certified sum of squares.
 
-    Rescales the box of w to the unit cube, perturbs by eps times the even
-    series tail (depth D = 2..d_max), certifies the candidate, and maps the
-    factors back.  Both distances come from the one gap f_unit - square_sum:
+    A point of the box where f < -1e-9 (screen_box_nonnegativity) ends the
+    run as "negative-on-box".  Otherwise it rescales the box of w to the unit
+    cube, perturbs by eps times the even series tail (depth D = 2..d_max),
+    certifies the candidate, and maps the factors back.  Both distances
+    come from the one gap f_unit - square_sum:
     unit_distance is its unweighted lp norm, and distance the
     ||.||_{p,r} norm of the gap mapped back to the box of w, which the
     diagonal isometry makes equal to unit_distance up to roundoff.
@@ -488,7 +536,7 @@ def box_sos_approx(
     if d_max < 2:
         raise ValueError("d_max must be >= 2")
     box = box_from_weight(w)
-    violation = screen_box_nonnegativity(f, box, seed=seed)
+    violation = screen_box_nonnegativity(f, box)
     if violation is not None:
         point, value = violation
         return BoxApproxResult("negative-on-box", eps, witness=point, witness_value=value)
@@ -522,8 +570,8 @@ def convergence_sweep(
 ) -> list[BoxApproxResult]:
     """Run box_sos_approx along a decreasing eps schedule.
 
-    The seeded screen gives every eps the same verdict, so if f is negative
-    on the box the first run's result is the only one returned.
+    The box screen does not depend on eps, so if f is negative on the box
+    the first run's result is the only one returned.
     """
     schedule = [float(e) for e in eps_schedule]
     if not schedule:

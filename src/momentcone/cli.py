@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands map one-to-one onto the library pipelines and exchange JSON files
-throughout.  Output is deterministic: fixed seed, fixed key order, floats
+throughout.  Output is deterministic: fixed key order, floats
 rendered with 17 significant digits so every value round-trips exactly.
 
 Each subcommand returns its report text and whether its checks passed; main
@@ -203,7 +203,6 @@ def _cmd_sos_approx(args) -> tuple[str, bool]:
         args.dmax,
         tol=tol if tol is not None else 1e-8,
         max_iters=args.max_iters,
-        seed=args.seed,
     )
     report = {
         "success": result.success,
@@ -341,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-iters", type=int, default=5000, help="Douglas-Rachford iteration cap per depth"
     )
-    p.add_argument("--seed", type=int, default=0, help="seed for the screening multistart, n >= 2")
     add_out(p)
     p.set_defaults(func=_cmd_sos_approx)
 

@@ -10,6 +10,7 @@ vector, with rows and columns indexed by simplex_index(n, d).basis.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -20,7 +21,6 @@ from .norms import WeightSpec, dual_weight, term_magnitude
 from .polyring import (
     Polynomial,
     check_finite,
-    entries_by_exponent,
     grlex_rank,
     integer_field,
     simplex_index,
@@ -72,19 +72,42 @@ def moments_to_dict(s: MomentSequence) -> dict:
 
 
 def moments_from_dict(data: dict) -> MomentSequence:
-    """Parse the moment file format: the full simplex, any order, each exponent once."""
+    """Parse the moment file format: the full simplex, any order, each exponent once.
+
+    The entries are read as one exponent array and one value array.  An
+    error names, in this order, an exponent that is not an integer, a value
+    that is not a number, a count other than the simplex size, the first
+    exponent outside the simplex, and the first that repeats an earlier one.
+    """
     if not isinstance(data, dict) or not {"n", "max_degree", "values"} <= set(data):
         raise ValueError('moment JSON must be {"n": .., "max_degree": .., "values": [..]}')
     n = integer_field(data["n"], "n")
     max_degree = integer_field(data["max_degree"], "max_degree")
-    values = entries_by_exponent(data["values"], "s")
-    _check_simplex_count(n, max_degree, len(values))  # O(1), before any index is built
-    basis = simplex_index(n, max_degree).basis
-    outside = values.keys() - basis  # as many exponents as basis: a hole leaves one here
-    if outside:
-        alpha = next(a for a in values if a in outside)
-        raise ValueError(f"exponent {list(alpha)} is outside the simplex |alpha| <= {max_degree}")
-    return MomentSequence(n, max_degree, [values[alpha] for alpha in basis])
+    entries = data["values"]
+    exps = [entry["exp"] for entry in entries]
+    if set(map(type, itertools.chain.from_iterable(exps))) != {int}:
+        exps = [[integer_field(a, "exponent") for a in e] for e in exps]  # 2.0 reads as 2
+    values = [float(entry["s"]) for entry in entries]
+    _check_simplex_count(n, max_degree, len(exps))  # O(1), before any index is built
+    try:
+        exponents = np.array(exps, dtype=np.int64).reshape(len(exps), n)
+    except (ValueError, OverflowError):  # rows of another length, or beyond int64
+        exponents = np.array(
+            [e if len(e) == n and max(map(abs, e)) <= max_degree else [-1] * n for e in exps],
+            dtype=np.int64,
+        )
+    order = np.lexsort([*exponents.T[::-1], exponents.sum(axis=1)])  # graded-lex
+    ranked = exponents[order]
+    if not np.array_equal(ranked, simplex_index(n, max_degree).exponents):
+        outside = ((exponents < 0) | (exponents > max_degree)).any(axis=1)
+        outside |= exponents.sum(axis=1) > max_degree
+        if outside.any():
+            alpha = list(exps[int(np.argmax(outside))])
+            raise ValueError(f"exponent {alpha} is outside the simplex |alpha| <= {max_degree}")
+        # as many entries as the simplex, all in it: one repeats an earlier one
+        repeats = order[1:][(ranked[1:] == ranked[:-1]).all(axis=1)]  # lexsort is stable
+        raise ValueError(f"duplicate exponent {list(exps[int(repeats.min())])}")
+    return MomentSequence(n, max_degree, np.array(values)[order])
 
 
 def apply_functional(s: MomentSequence, f: Polynomial) -> float:

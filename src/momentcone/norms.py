@@ -193,7 +193,9 @@ def eval_sequence_norm(x, w: WeightSpec) -> float:
 
 def eval_sequence_norm_partial(x, w: WeightSpec, max_degree: int) -> float:
     """Truncation of eval_sequence_norm to multi-indices with |a| <= max_degree;
-    inf when a term is too large for a float."""
+    inf only when it is too large for a float: a sum that overflows, in a
+    term or only in the sum, is formed again from the logs of its terms,
+    with the largest one factored out."""
     xs = tuple(float(v) for v in x)
     if len(xs) != w.n:
         raise ValueError(f"point has dimension {len(xs)}, expected {w.n}")
@@ -202,7 +204,21 @@ def eval_sequence_norm_partial(x, w: WeightSpec, max_degree: int) -> float:
     if dual.q == math.inf:
         factors = [abs(xi) * rp for xi, rp in zip(xs, dual.r_prime)]
         return float(np.max(_monomials(factors, exponents)))
-    return math.fsum(_monomials(_ratios(xs, dual), exponents)) ** (1.0 / float(dual.q))
+    qf = float(dual.q)
+    try:  # fsum raises on a sum of finite terms that overflows
+        value = math.fsum(_monomials(_ratios(xs, dual), exponents)) ** (1.0 / qf)
+    except OverflowError:
+        value = math.inf
+    if math.isfinite(value):
+        return value
+    with np.errstate(divide="ignore", invalid="ignore"):  # log 0 = -inf, and 0 * -inf
+        log_ratios = qf * np.log(np.abs(xs)) + np.log(dual.r_prime)
+        logs = np.where(exponents > 0, exponents * log_ratios, 0.0).sum(axis=1)
+    top = float(logs.max())
+    try:
+        return math.exp((top + math.log(math.fsum(np.exp(logs - top)))) / qf)
+    except OverflowError:
+        return math.inf
 
 
 def is_evaluation_continuous(x, w: WeightSpec) -> bool:

@@ -282,7 +282,10 @@ def poly_eval(f: Polynomial, x) -> float:
 
 
 def axis_scale(f: Polynomial, scales) -> Polynomial:
-    """Substitute X_i -> c_i * X_i, i.e. map each coefficient f_a to f_a * c**a."""
+    """Substitute X_i -> c_i * X_i, i.e. map each coefficient f_a to f_a * c**a.
+
+    A term whose running product of c_i ** a_i overflows is formed again from
+    logs, so an axis that another brings back into range does not make it inf."""
     cs = tuple(float(c) for c in scales)
     if len(cs) != f.n:
         raise ValueError(f"scale vector has dimension {len(cs)}, expected {f.n}")
@@ -290,15 +293,16 @@ def axis_scale(f: Polynomial, scales) -> Polynomial:
         raise ValueError("scale factors must be strictly positive")
     out: dict[MultiIndex, float] = {}
     for alpha, coef in f.terms.items():
-        factor = 1.0
-        for c, a in zip(cs, alpha):
-            if a:
-                try:
-                    factor *= c ** a
-                except OverflowError:  # the constructor rejects the coefficient as not finite
-                    factor = math.inf
-                    break
-        out[alpha] = coef * factor
+        try:
+            out[alpha] = coef * math.prod(c**a for c, a in zip(cs, alpha) if a)
+        except OverflowError:
+            out[alpha] = math.copysign(math.inf, coef)
+        if not math.isfinite(out[alpha]):
+            log = math.fsum([math.log(abs(coef))] + [a * math.log(c) for c, a in zip(cs, alpha)])
+            try:
+                out[alpha] = math.copysign(math.exp(log), coef)
+            except OverflowError:  # out of range itself: the constructor rejects it
+                pass
     return Polynomial(f.n, out)
 
 

@@ -10,6 +10,7 @@ from momentcone import (
     WeightSpec,
     axis_scale,
     box_from_weight,
+    bracket_box_minimum,
     box_sos_approx,
     coefficientwise_report,
     convergence_sweep,
@@ -360,9 +361,10 @@ class TestScreening:
             assert hit is not None
             assert hit[1] == pytest.approx(minimum, abs=1e-9)
 
-    def test_off_grid_dip_found_by_descent(self):
+    def test_off_grid_dip_found_by_subdivision(self):
         # negative only within 0.00316 of (0.0157, 0), which no point of the
-        # 33 x 33 grid (spacing 0.0625) hits
+        # 33 x 33 grid (spacing 0.0625) hits.  The bracket closes to 1e-9, so
+        # the witness lies within sqrt(1e-9) of the minimizer.
         f = Polynomial(
             2, {(0, 0): 0.0157**2 - 1e-5, (1, 0): -2 * 0.0157, (2, 0): 1.0, (0, 2): 1.0}
         )
@@ -370,9 +372,8 @@ class TestScreening:
         assert min(poly_eval(f, (x, y)) for x in grid for y in grid) > 0.0
         hit = screen_box_nonnegativity(f, SQUARE)
         assert hit is not None
-        assert hit[0][0] == pytest.approx(0.0157, abs=1e-6)
-        assert hit[0][1] == pytest.approx(0.0, abs=1e-6)
-        assert hit[1] == pytest.approx(-1e-5, rel=1e-6)
+        assert math.dist(hit[0], (0.0157, 0.0)) <= math.sqrt(1e-9) + 1e-12
+        assert hit[1] == pytest.approx(-1e-5, abs=1e-9)
 
     # The 1-D screen takes the box ends and the roots of f'.  pytest turns
     # every warning into a failure, so these also check that np.roots stays
@@ -452,31 +453,27 @@ class TestScreening:
             assert -c <= hit[0][0] <= c
             assert hit[1] <= dense + 1e-12 * scale
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_separable_matches_sum_of_one_dimensional_minima(self, seed):
-        # x^2 - 0.3x has its minimum -0.0225 at 0.15 and y^4 - 2y^2 has -1 at
-        # +-1, none of them on the 33-point grids of [-1, 1] and [-1.5, 1.5]
-        f1 = Polynomial(1, {(1,): -0.3, (2,): 1.0})
-        f2 = Polynomial(1, {(2,): -2.0, (4,): 1.0})
-        box1, box2 = BoxSpec((-1.0,), (1.0,)), BoxSpec((-1.5,), (1.5,))
-        minima = [screen_box_nonnegativity(g, box)[1] for g, box in ((f1, box1), (f2, box2))]
-        assert minima == pytest.approx([-0.0225, -1.0], abs=1e-15)
-        f = Polynomial(2, {(1, 0): -0.3, (2, 0): 1.0, (0, 2): -2.0, (0, 4): 1.0})
-        box = BoxSpec((-1.0, -1.5), (1.0, 1.5))
-        point, value = screen_box_nonnegativity(f, box, seed=seed)
-        assert value == pytest.approx(sum(minima), abs=1e-9)
+    @pytest.mark.parametrize("pairing", [0, 1, 2])
+    def test_separable_matches_sum_of_one_dimensional_minima(self, pairing):
+        # x^2 - 0.3x has its minimum -0.0225 at 0.15 on [-1, 1], and y^4 - 2y^2
+        # has -1 at +-1 on [-1.5, 1.5]; the bracket splits axis 0 first, so the
+        # pairings put each factor on each axis
+        parts = [((1, -0.3), (2, 1.0), 1.0), ((2, -2.0), (4, 1.0), 1.5)]
+        first, second = [(0, 1), (1, 0), (1, 1)][pairing]
+        minima = []
+        for part in (parts[first], parts[second]):
+            g = Polynomial(1, dict(((k,), c) for k, c in part[:2]))
+            minima.append(screen_box_nonnegativity(g, BoxSpec((-part[2],), (part[2],)))[1])
+        assert minima == pytest.approx([(-0.0225, -1.0)[i] for i in (first, second)], abs=1e-15)
+        terms = {(k, 0): c for k, c in parts[first][:2]}
+        terms.update({(0, k): c for k, c in parts[second][:2]})
+        box = BoxSpec.from_halfwidths((parts[first][2], parts[second][2]))
+        point, value = screen_box_nonnegativity(Polynomial(2, terms), box)
+        assert box.contains(point)
+        assert sum(minima) <= value <= sum(minima) + 1e-9
 
-    @pytest.mark.parametrize("n, per_axis", [(3, 33), (4, 13), (5, 8)])
-    def test_grid_capped_at_33_cubed_points(self, n, per_axis, monkeypatch):
-        # a 5-variable quartic: 33 points per axis would be 33^5 points and a
-        # Vandermonde of tens of GB
-        sizes, grid_points = [], approx_module.grid_points
-
-        def recording(box, grid_m):
-            sizes.append(grid_m)
-            return grid_points(box, grid_m)
-
-        monkeypatch.setattr(approx_module, "grid_points", recording)
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_quartic_and_bowl_in_higher_dimensions(self, n):
         box = BoxSpec((-1.0,) * n, (1.0,) * n)
         axes = [tuple(int(j == i) for j in range(n)) for i in range(n)]
         quartic = Polynomial(n, {(0,) * n: 0.1, **{tuple(4 * a for a in e): 1.0 for e in axes}})
@@ -484,7 +481,7 @@ class TestScreening:
         bowl = Polynomial(n, {(0,) * n: 0.5, **{tuple(2 * a for a in e): -1.0 for e in axes}})
         point, value = screen_box_nonnegativity(bowl, box)
         assert value == pytest.approx(0.5 - n, abs=1e-9)
-        assert sizes == [per_axis, per_axis] and per_axis ** n <= 33 ** 3 < (per_axis + 1) ** n
+        assert all(abs(x) == 1.0 for x in point)
 
     def test_witness_in_box_with_exact_value(self):
         f = Polynomial(2, {(0, 0): 0.2, (1, 1): -3.0, (3, 0): 1.0, (0, 4): -0.5})
@@ -493,16 +490,141 @@ class TestScreening:
         assert all(lo <= x <= hi for x, lo, hi in zip(point, box.lower, box.upper))
         assert value == poly_eval(f, point)
 
-    def test_same_seed_same_result(self):
+    def test_same_input_same_result(self):
         f = Polynomial(2, {(0, 0): 0.1, (2, 0): -1.0, (1, 2): 0.7, (0, 3): 1.0})
         box = BoxSpec((-1.0, -0.5), (1.0, 0.5))
-        first = screen_box_nonnegativity(f, box, seed=7)
+        first = screen_box_nonnegativity(f, box)
         assert first is not None
-        assert screen_box_nonnegativity(f, box, seed=7) == first
+        assert screen_box_nonnegativity(f, box) == first
+        assert bracket_box_minimum(f, box) == bracket_box_minimum(f, box)
 
     def test_dimension_mismatch_raises(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             screen_box_nonnegativity(ONE_MINUS_XSQ, SQUARE)
+
+
+def small_polynomials(n: int):
+    """Polynomials in n variables with up to 6 terms of degree <= 4 per axis."""
+    exponent = st.tuples(*[st.integers(0, 4)] * n)
+    return st.dictionaries(exponent, st.floats(-2.0, 2.0), max_size=6).map(
+        lambda terms: Polynomial(n, terms)
+    )
+
+
+class TestBracketBoxMinimum:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+        small_polynomials(n), st.lists(st.floats(0.25, 2.0), min_size=n, max_size=n))))
+    def test_bracket_holds_the_box_minimum(self, case):
+        f, halfwidths = case
+        box = BoxSpec.from_halfwidths(halfwidths)
+        lower, upper, point, entries, stop = bracket_box_minimum(f, box)
+        axes = [np.linspace(-c, c, 41 if f.n < 3 else 13) for c in halfwidths]
+        grid = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+        grid_min = min(poly_eval(f, x) for x in grid)
+        scale = sum(abs(c) * math.prod(halfwidths) ** 4 for c in f.terms.values())
+        assert lower <= grid_min + 1e-13 * max(scale, 1.0)
+        assert lower <= upper
+        assert box.contains(point)
+        assert upper == poly_eval(f, point)
+        assert entries <= approx_module._SCREEN_BUDGET
+        if stop != "budget":  # closed: 1e-9 wide, up to the round-off of upper's evaluation
+            assert stop == "closed"
+            assert upper - lower <= 1e-9 + 1e-13 * max(scale, 1.0)
+
+    def test_threshold_stops_at_a_nonnegative_lower_bound(self):
+        # the quartic of ROADMAP item 2 has minimum 1 - 0.25/2.3 on the square, at
+        # x^2 = y^2 = 0.5/2.3: asked only whether f < -1e-9, the bracket closes
+        # with lower >= -1e-9 and no width bound
+        f = Polynomial(2, {(0, 0): 1.0, (2, 0): -0.5, (0, 2): -0.5,
+                           (4, 0): 1.0, (0, 4): 1.0, (2, 2): 0.3})
+        lower, upper, _, full_entries, stop = bracket_box_minimum(f, SQUARE)
+        assert stop == "closed" and upper - lower <= 1e-9
+        assert lower <= 1.0 - 0.25 / 2.3 <= upper
+        lower, _, _, entries, stop = bracket_box_minimum(f, SQUARE, threshold=-1e-9)
+        assert stop == "closed" and lower >= -1e-9
+        assert entries < full_entries
+
+    def test_curve_of_zeros_stops_on_the_budget(self):
+        # (X1^3 - X2)^2 vanishes along y = x^3, where the coefficients of a box
+        # astride the curve stay below -1e-9 until the box is very small
+        f = Polynomial(2, {(6, 0): 1.0, (3, 1): -2.0, (0, 2): 1.0})
+        lower, upper, _, entries, stop = bracket_box_minimum(f, SQUARE, threshold=-1e-9)
+        assert stop == "budget"
+        assert entries <= approx_module._SCREEN_BUDGET
+        assert -1e-3 < lower < -1e-9 and upper == 0.0
+        assert screen_box_nonnegativity(f, SQUARE) is None
+
+    @pytest.mark.parametrize("n, degree", [(4, 6), (5, 4)])
+    def test_budget_stop_still_finds_a_small_dip(self, n, degree):
+        # sum X_i^degree - 0.01 is negative only near the origin; the budget ends
+        # the subdivision while the sub-boxes left still reach the faces
+        # x_{n-1} = +-1, so the dip is found at a Greville point of a sub-box
+        axes = [tuple(degree * (j == i) for j in range(n)) for i in range(n)]
+        f = Polynomial(n, {(0,) * n: -0.01, **{e: 1.0 for e in axes}})
+        box = BoxSpec((-1.0,) * n, (1.0,) * n)
+        lower, upper, point, entries, stop = bracket_box_minimum(f, box, threshold=-1e-9)
+        assert stop == "budget" and entries <= approx_module._SCREEN_BUDGET
+        assert lower <= -0.01 and upper == pytest.approx(-0.01, abs=1e-12)
+        assert screen_box_nonnegativity(f, box) == (point, upper)
+
+    def test_polish_finds_an_off_grid_dip_after_a_budget_stop(self):
+        # the minimum -0.005 at (0.3, -0.1, 0.2, 0.05, -0.25) is on no Greville
+        # point: exact minimisation along each axis in turn reaches it
+        centre = (0.3, -0.1, 0.2, 0.05, -0.25)
+        terms = {(0,) * 5: sum(a**2 for a in centre) - 0.005}
+        for i, a in enumerate(centre):
+            terms[tuple(2 * (j == i) for j in range(5))] = 1.0
+            terms[tuple(int(j == i) for j in range(5))] = -2.0 * a
+        f = Polynomial(5, terms)
+        box = BoxSpec((-1.0,) * 5, (1.0,) * 5)
+        _, upper, point, _, stop = bracket_box_minimum(f, box, threshold=-1e-9)
+        assert stop == "budget"
+        assert upper == pytest.approx(-0.005, abs=1e-12)
+        assert point == pytest.approx(centre, abs=1e-6)
+
+    def test_greville_start_for_a_coupled_quartic(self):
+        # a 4-D quartic with coupled terms, min about -0.02496 near
+        # (0.288, -0.603, 0.160, 0.672): the budget stops the subdivision with
+        # every corner positive, and the polish from the best corner stalls at
+        # a positive point, but the best Greville point lies in the dip
+        f = Polynomial(4, {
+            (0, 0, 0, 0): 0.15, (0, 0, 0, 1): 0.14, (0, 1, 0, 1): 0.94, (0, 1, 0, 2): 0.89,
+            (0, 2, 1, 2): -0.59, (1, 2, 0, 1): -0.51, (1, 0, 2, 0): 0.85, (4, 0, 0, 0): 1.08,
+            (0, 4, 0, 0): 1.37, (0, 0, 4, 0): 1.12, (0, 0, 0, 4): 1.03,
+        })
+        box = BoxSpec((-1.0,) * 4, (1.0,) * 4)
+        _, upper, point, _, stop = bracket_box_minimum(f, box, threshold=-1e-9)
+        assert stop == "budget"
+        assert upper == pytest.approx(-0.024958843, abs=1e-8)
+        assert point == pytest.approx((0.2876, -0.6032, 0.1603, 0.6715), abs=1e-3)
+
+    def test_too_many_coefficients_form_none(self):
+        # 11^8 coefficients would take 1.7 GB: none is formed, and the polish
+        # starts from the centre
+        n = 8
+        axes = [tuple(10 * (j == i) for j in range(n)) for i in range(n)]
+        box = BoxSpec((-1.0,) * n, (1.0,) * n)
+        shifted = {(0,) * n: -0.01, **{e: 1.0 for e in axes}, (1,) + (0,) * (n - 1): 0.5}
+        lower, upper, point, entries, stop = bracket_box_minimum(Polynomial(n, shifted), box)
+        assert (lower, entries, stop) == (-math.inf, 0, "budget")
+        assert box.contains(point) and upper < -0.01
+        bowl = Polynomial(n, {(0,) * n: 1.0, **{e: 1.0 for e in axes}})
+        assert screen_box_nonnegativity(bowl, box) is None
+
+    def test_boxes_are_symmetric(self):
+        # the bracket reads box.upper as the half-widths
+        with pytest.raises(ValueError, match="symmetric"):
+            BoxSpec((0.0, 0.0), (1.0, 1.0))
+
+    def test_overflowing_coefficients_raise(self):
+        f = Polynomial(2, {(0, 0): 1.0, (4, 0): -1.0, (0, 1): 1.0})
+        with pytest.raises(ValueError, match="too large for the box screen"):
+            bracket_box_minimum(f, BoxSpec.from_halfwidths((1e100, 1.0)))
+
+    def test_dimension_mismatch_raises(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            bracket_box_minimum(ONE_MINUS_XSQ, SQUARE)
 
 
 class TestBoxSosApprox:

@@ -346,6 +346,25 @@ class TestSosApproxCommand:
         assert captured.out == ""
         assert captured.err == "error: coefficients too large for the Gram search\n"
 
+    def test_overflowing_box_screen_exit_one(self, tmp_path, capsys):
+        # on [-1e200, 1e200] x [-1, 1] the X1^2 coefficient scales to 1e400
+        path = tmp_path / "bowl.json"
+        path.write_text(json.dumps(poly_to_dict(Polynomial(2, {(0, 0): 1.0, (2, 0): -1.0}))))
+        argv = ["sos-approx", "--f", str(path), "--p", "1", "--r", "1e200,1", "--eps", "0.5",
+                "--dmax", "2"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: coefficients too large for the box screen\n"
+
+    def test_seed_flag_is_gone(self, workdir, capsys):
+        argv = ["sos-approx", "--f", workdir["one_minus_xsq"], "--p", "1", "--r", "1",
+                "--eps", "1", "--dmax", "2", "--seed", "3"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
     def test_overflowing_rescale_exit_one(self, workdir, capsys):
         # the factors map back to a box of halfwidth 1e-300: (1e300)^2 overflows
         argv = ["sos-approx", "--f", workdir["one_minus_xsq"], "--p", "1", "--r", "1e-300",

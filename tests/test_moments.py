@@ -133,6 +133,41 @@ class TestMomentSequence:
         assert s.vector.tolist() == values
         assert moments_to_dict(s) == {"n": n, "max_degree": d, "values": entries}
 
+    @pytest.mark.parametrize(
+        "exponents, message",
+        [
+            ([[0], [1], [1]], "duplicate exponent [1]"),
+            ([[0], [2.0], [3]], "exponent [3] is outside the simplex |alpha| <= 2"),
+            ([[0], [True], [2]], "exponent True is not an integer"),
+            ([[0], [1], [-1]], "exponent [-1] is outside the simplex |alpha| <= 2"),
+            ([[0], [1], [0, 2]], "exponent [0, 2] is outside the simplex |alpha| <= 2"),
+            # too large for an int64 array, and named as the integer it is
+            ([[0], [1e300], [2]], f"exponent [{int(1e300)}] is outside the simplex |alpha| <= 2"),
+            ([[0], [3], [3]], "exponent [3] is outside the simplex |alpha| <= 2"),
+        ],
+        ids=["duplicate", "float-then-hole", "boolean", "negative", "wrong-length", "huge-float",
+             "outside-before-duplicate"],
+    )
+    def test_bad_entries_name_the_first_bad_exponent(self, exponents, message):
+        data = {"n": 1, "max_degree": 2, "values": [{"exp": e, "s": 1.0} for e in exponents]}
+        with pytest.raises(ValueError) as info:
+            moments_from_dict(data)
+        assert str(info.value) == message
+
+    def test_first_repeat_in_entry_order_is_named(self):
+        # [1] repeats at the last entry, after [2] repeats at the third
+        data = {"n": 1, "max_degree": 3, "values": [{"exp": [e], "s": 1.0} for e in (2, 1, 2, 1)]}
+        with pytest.raises(ValueError) as info:
+            moments_from_dict(data)
+        assert str(info.value) == "duplicate exponent [2]"
+
+    def test_integral_float_exponents_read_as_integers(self):
+        entries = [{"exp": [2.0, 0], "s": 3.0}, {"exp": [0, 0], "s": 1.0},
+                   {"exp": [1, 1.0], "s": 4.0}, {"exp": [0, 1], "s": 2.0},
+                   {"exp": [1, 0], "s": 5.0}, {"exp": [0, 2], "s": 6.0}]
+        s = moments_from_dict({"n": 2, "max_degree": 2, "values": entries})
+        assert s.vector.tolist() == [1.0, 2.0, 5.0, 6.0, 4.0, 3.0]
+
     def test_duplicate_index_rejected(self):
         data = {
             "n": 1,

@@ -164,6 +164,20 @@ class TestEvalSequenceNorm:
         assert eval_sequence_norm((-1e200, 0.5), WeightSpec(Fraction(3, 2), (1.0, 1.0))) == math.inf
         assert eval_sequence_norm_partial((1e200,), WeightSpec(2, (1.0,)), 3) == math.inf
 
+    def test_overflowing_term_with_a_finite_norm(self):
+        # 1 + (1e200)^2 overflows a float, but its square root is 1e200
+        w = WeightSpec(2, (1.0,))
+        assert eval_sequence_norm_partial((1e200,), w, 1) == pytest.approx(1e200, rel=1e-12)
+        assert eval_sequence_norm_partial((1e100,), w, 1) == 1e100
+        pair = eval_sequence_norm_partial((1e150, 0.0), WeightSpec(2, (1.0, 1.0)), 2)
+        assert pair == pytest.approx(1e300, rel=1e-12)
+        three_halves = WeightSpec(Fraction(3, 2), (1.0, 1.0))
+        value = eval_sequence_norm_partial((-1e200, 0.5), three_halves, 1)
+        assert value == pytest.approx(1e200, rel=1e-12)
+        # the terms 1, 1e308 and 1e308 are finite, but their sum is not
+        both = eval_sequence_norm_partial((1e154, 1e154), WeightSpec(2, (1.0, 1.0)), 1)
+        assert both == pytest.approx(math.sqrt(2.0) * 1e154, rel=1e-12)
+
     def test_overflowing_partial_terms_are_infinite(self):
         # a power overflows beside a zero coordinate (inf * 0), for q finite and q = inf
         assert eval_sequence_norm_partial((1e150, 0.0), WeightSpec(2, (1.0, 1.0)), 3) == math.inf

@@ -175,6 +175,24 @@ class TestAxisScale:
             rhs = poly_eval(f, tuple(ci * xi for ci, xi in zip(c, x)))
             assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
 
+    def test_overflowing_axis_brought_back_by_another(self):
+        # the running product (1e200)^2 overflows, but 1e400 * 1e-400 is 1
+        f = Polynomial(2, {(2, 2): 1.0, (1, 0): -3.0, (2, 3): -2.0})
+        scaled = axis_scale(f, (1e200, 1e-200))
+        assert scaled.coefficient((2, 2)) == pytest.approx(1.0, rel=1e-12)
+        assert scaled.coefficient((2, 3)) == pytest.approx(-2e-200, rel=1e-12)
+        assert scaled.coefficient((1, 0)) == -3e200
+        with pytest.raises(ValueError, match=r"coefficient inf at \(2, 0\) is not finite"):
+            axis_scale(Polynomial(2, {(2, 0): 1.0, (0, 1): 1.0}), (1e200, 1e-200))
+
+    def test_finite_running_products_unchanged(self, rng):
+        # every coefficient the running product of c ** a_i keeps finite is that product
+        for _ in range(20):
+            f = random_sparse_poly(rng, 3, 6)
+            c = tuple(10.0 ** rng.uniform(-40, 40, size=3))
+            for alpha, coef in axis_scale(f, c).terms.items():
+                assert coef == f.terms[alpha] * math.prod(v**a for v, a in zip(c, alpha) if a)
+
     def test_rejects_nonpositive_scale(self):
         with pytest.raises(ValueError):
             axis_scale(X, (0.0,))
