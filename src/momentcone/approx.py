@@ -310,12 +310,9 @@ def square_perturbation(n: int, depth: int) -> Polynomial:
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    terms: dict[MultiIndex, float] = {(0,) * n: 1.0}
-    for i in range(n):
-        for k in range(1, depth + 1):
-            alpha = tuple(2 * k if j == i else 0 for j in range(n))
-            terms[alpha] = terms.get(alpha, 0.0) + 1.0 / math.factorial(k)
-    return Polynomial(n, terms)
+    powers = 2 * np.arange(depth + 1)[:, None, None] * np.eye(n, dtype=np.int64)  # [k, i] = 2k e_i
+    coefs = [1.0 / math.factorial(k) for k in range(depth + 1) for _ in range(n)]
+    return Polynomial(n, (powers.reshape(-1, n)[n - 1:], coefs[n - 1:]))  # one constant row
 
 
 @dataclass(frozen=True)
@@ -362,15 +359,14 @@ def _polish(f: Polynomial, point: np.ndarray, half: np.ndarray):
     """(point, poly_eval(f, point)) after sweeps of exact minimisation along
     each axis in turn, until a sweep gains at most 1e-12 max(1, |f|) or after
     20 sweeps.  No sweep raises f beyond the accuracy of the roots."""
-    exponents = np.array(list(f.terms), dtype=np.int64).reshape(-1, f.n)
-    coefs = np.array(list(f.terms.values()))
     x = point.copy()
     value = poly_eval(f, tuple(x.tolist()))
     for _ in range(20):
         trial = x.copy()
         for i in range(f.n):
             trial[i] = 1.0  # the coefficients of f along axis i through trial
-            line = np.bincount(exponents[:, i], monomial_values(trial[None], exponents)[0] * coefs)
+            powers = monomial_values(trial[None], f.exponents)[0]
+            line = np.bincount(f.exponents[:, i], powers * f.coefs)
             k = np.flatnonzero(line)
             trial[i] = _interval_minimizer(k, line[k], half[i])
         trial_value = poly_eval(f, tuple(trial.tolist()))
@@ -408,14 +404,13 @@ def bracket_box_minimum(f: Polynomial, box: BoxSpec, threshold: float = math.inf
     if f.n != box.n:
         raise ValueError(f"dimension mismatch: {f.n} vs {box.n}")
     n, half = f.n, np.array(box.upper)  # a BoxSpec is symmetric about the origin
-    exponents = np.array(list(f.terms), dtype=np.int64).reshape(-1, n)
-    degrees = exponents.max(axis=0, initial=0)
+    degrees = f.exponents.max(axis=0, initial=0)
     sizes = (degrees + 1).tolist()
     if math.prod(sizes) + sum(size * size for size in sizes) > _SCREEN_BUDGET:
         point, upper = _polish(f, np.zeros(n), half)
         return -math.inf, upper, point, 0, "budget"
     coefs = np.zeros(degrees + 1)
-    coefs[tuple(exponents.T)] = list(f.terms.values())
+    coefs[tuple(f.exponents.T)] = f.coefs
     halving = []  # per axis
     for i, d in enumerate(map(int, degrees)):
         # to_bernstein[j, k], the j-th Bernstein coefficient of u^k on [-1, 1], is the
@@ -495,8 +490,7 @@ def screen_box_nonnegativity(f: Polynomial, box: BoxSpec):
     if f.n >= 2:
         _, value, point, _, _ = bracket_box_minimum(f, box, threshold=-_SCREEN_TOL)
         return (point, value) if value < -_SCREEN_TOL else None
-    k = np.array([alpha[0] for alpha in f.terms], dtype=np.int64)
-    point = (_interval_minimizer(k, np.array(list(f.terms.values())), box.upper[0]),)
+    point = (_interval_minimizer(f.exponents[:, 0], f.coefs, box.upper[0]),)
     value = poly_eval(f, point)
     return (point, value) if value < -_SCREEN_TOL else None
 

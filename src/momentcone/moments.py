@@ -10,7 +10,6 @@ vector, with rows and columns indexed by simplex_index(n, d).basis.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -21,7 +20,9 @@ from .norms import WeightSpec, dual_weight, term_magnitude
 from .polyring import (
     Polynomial,
     check_finite,
+    exponent_array,
     grlex_rank,
+    grlex_sort,
     integer_field,
     simplex_index,
     simplex_size,
@@ -84,20 +85,10 @@ def moments_from_dict(data: dict) -> MomentSequence:
     n = integer_field(data["n"], "n")
     max_degree = integer_field(data["max_degree"], "max_degree")
     entries = data["values"]
-    exps = [entry["exp"] for entry in entries]
-    if set(map(type, itertools.chain.from_iterable(exps))) != {int}:
-        exps = [[integer_field(a, "exponent") for a in e] for e in exps]  # 2.0 reads as 2
+    exps, exponents = exponent_array([entry["exp"] for entry in entries], n)
     values = [float(entry["s"]) for entry in entries]
-    _check_simplex_count(n, max_degree, len(exps))  # O(1), before any index is built
-    try:
-        exponents = np.array(exps, dtype=np.int64).reshape(len(exps), n)
-    except (ValueError, OverflowError):  # rows of another length, or beyond int64
-        exponents = np.array(
-            [e if len(e) == n and max(map(abs, e)) <= max_degree else [-1] * n for e in exps],
-            dtype=np.int64,
-        )
-    order = np.lexsort([*exponents.T[::-1], exponents.sum(axis=1)])  # graded-lex
-    ranked = exponents[order]
+    _check_simplex_count(n, max_degree, len(exps))  # before the simplex index is built
+    order, ranked, repeat = grlex_sort(exponents)
     if not np.array_equal(ranked, simplex_index(n, max_degree).exponents):
         outside = ((exponents < 0) | (exponents > max_degree)).any(axis=1)
         outside |= exponents.sum(axis=1) > max_degree
@@ -105,8 +96,7 @@ def moments_from_dict(data: dict) -> MomentSequence:
             alpha = list(exps[int(np.argmax(outside))])
             raise ValueError(f"exponent {alpha} is outside the simplex |alpha| <= {max_degree}")
         # as many entries as the simplex, all in it: one repeats an earlier one
-        repeats = order[1:][(ranked[1:] == ranked[:-1]).all(axis=1)]  # lexsort is stable
-        raise ValueError(f"duplicate exponent {list(exps[int(repeats.min())])}")
+        raise ValueError(f"duplicate exponent {list(exps[int(order[1:][repeat].min())])}")
     return MomentSequence(n, max_degree, np.array(values)[order])
 
 
@@ -118,8 +108,7 @@ def apply_functional(s: MomentSequence, f: Polynomial) -> float:
         raise ValueError(
             f"polynomial degree {f.degree} exceeds stored moments (max_degree={s.max_degree})"
         )
-    ranks = grlex_rank(np.array(list(f.terms), dtype=np.int64).reshape(-1, s.n))
-    return math.fsum(c * v for c, v in zip(f.terms.values(), s.vector[ranks].tolist()))
+    return math.fsum((f.coefs * s.vector[grlex_rank(f.exponents)]).tolist())
 
 
 def moment_matrix(s: MomentSequence, d: int) -> np.ndarray:
@@ -144,7 +133,7 @@ def localized_moment_matrix(s: MomentSequence, g: Polynomial, d: int) -> np.ndar
         raise ValueError(f"insufficient moments: need degree {need}, have {s.max_degree}")
     idx = simplex_index(s.n, d)
     entries = np.zeros((len(idx.basis),) * 2)
-    for gamma, coef in g.terms.items():
+    for gamma, coef in zip(g.exponents, g.coefs.tolist()):
         entries += coef * s.vector[idx.hankel(gamma)]
     entries.setflags(write=False)
     return entries
@@ -200,9 +189,8 @@ def check_quadratic_module(
     Tests l(h^2 g) >= 0 at level d for g in {1, g_1, ..., g_s, N - sum X_i^2},
     reporting the minimum eigenvalue per generator and an overall flag.
     """
-    ball = Polynomial.constant(s.n, float(ball_bound))
-    for i in range(s.n):
-        ball = ball - Polynomial.monomial(tuple(2 if j == i else 0 for j in range(s.n)))
+    squares = np.vstack([np.zeros(s.n, dtype=np.int64), 2 * np.eye(s.n, dtype=np.int64)])
+    ball = Polynomial(s.n, (squares, [float(ball_bound)] + [-1.0] * s.n))
     labelled: list[tuple[str, Polynomial]] = [("g0", Polynomial.constant(s.n, 1.0))]
     labelled += [(f"g{k + 1}", g) for k, g in enumerate(generators)]
     labelled.append((f"g{len(generators) + 1}", ball))

@@ -121,14 +121,12 @@ def weighted_norm(s: Polynomial, w: WeightSpec) -> float:
     |s_a| r^a.  With r = (1,...,1) it reduces to the unweighted lp norm.
     """
     _check_dims(s, w)
+    power = 1.0 if w.p == math.inf else float(w.p)
+    terms = zip(s.exponents.tolist(), np.abs(s.coefs).tolist())
+    magnitudes = [term_magnitude(c, power, w.r, a) for a, c in terms]
     if w.p == math.inf:
-        return max(
-            (term_magnitude(abs(c), 1.0, w.r, a) for a, c in s.terms.items()),
-            default=0.0,
-        )
-    pf = float(w.p)
-    total = math.fsum(term_magnitude(abs(c), pf, w.r, a) for a, c in s.terms.items())
-    return total ** (1.0 / pf)
+        return max(magnitudes, default=0.0)
+    return math.fsum(magnitudes) ** (1.0 / power)
 
 
 def scaling_isometry(s: Polynomial, w: WeightSpec, direction: str = "forward") -> Polynomial:
@@ -238,10 +236,8 @@ def holder_product_norm(a: Polynomial, b: Polynomial, p) -> tuple[float, float]:
     p = as_exponent(p)
     q = conjugate_exponent(p)
     ones = (1.0,) * a.n
-    pointwise = Polynomial(
-        a.n,
-        {alpha: c * b.terms[alpha] for alpha, c in a.terms.items() if alpha in b.terms},
-    )
+    i, j = np.nonzero((a.exponents[:, None, :] == b.exponents[None, :, :]).all(axis=2))
+    pointwise = Polynomial(a.n, (a.exponents[i], a.coefs[i] * b.coefs[j]))
     lhs = weighted_norm(pointwise, WeightSpec(1, ones))
     rhs = weighted_norm(a, WeightSpec(p, ones)) * weighted_norm(b, WeightSpec(q, ones))
     return lhs, rhs

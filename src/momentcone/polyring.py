@@ -1,40 +1,31 @@
-"""Sparse multivariate polynomial arithmetic, and a dense series square root.
+"""Sparse multivariate polynomial arithmetic on arrays, and a dense series square root.
 
-A polynomial is a finite map from exponent tuples to float coefficients, so
-the same object doubles as a finite-support coefficient sequence.  Canonical
-form drops exact-zero coefficients and stores the terms in graded-lex order
-(total degree, then lex; the order of iter_simplex and grlex_rank), so every
-iteration, summation and serialization runs in that one order.
+A Polynomial is a finite-support coefficient sequence: an int64 (k, n) array
+of unique exponent rows in graded-lex order (total degree, then lex; the
+order of iter_simplex and grlex_rank) and a float array of its k nonzero
+coefficients.  One canonicalizer checks rows given in any order, sorts them
+by np.lexsort and sums repeated rows in input order by np.bincount; sum,
+difference and product pass through it, while the maps that keep the rows
+only drop zeros.  ``terms`` is a read-only map derived from the two arrays.
 
-The truncated square root (sqrt_coefficients, behind series_sqrt) and the
-square truncated to a degree (truncated_square) run on dense coefficient
-vectors indexed by graded-lex rank instead.  Their products come from
-np.bincount over pair tables cached per (n, degree), like simplex_index.
-bincount adds in input order and the tables list each coefficient's pairs in
-the order poly_mul visits them, so every coefficient is rounded exactly as
-the sparse arithmetic rounds it.
-
-poly_from_vector is the only way from such a vector back to a Polynomial:
-it checks finiteness (check_finite, which names the first bad exponent),
-drops zeros and keeps the graded-lex order as given.
+The truncated square root (sqrt_coefficients) and square (truncated_square)
+run on dense graded-lex vectors, with products from np.bincount over pair
+tables cached per (n, degree) that list each coefficient's pairs in the
+order poly_mul sums them, so every coefficient rounds as in poly_mul.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 MultiIndex = tuple[int, ...]
-
-
-def grlex_key(alpha: MultiIndex) -> tuple[int, MultiIndex]:
-    """Sort key for the graded-lexicographic order: total degree, then lex."""
-    return (sum(alpha), alpha)
 
 
 def _compositions(total: int, slots: int) -> Iterator[MultiIndex]:
@@ -68,11 +59,9 @@ def _binom(x: np.ndarray, k: int) -> np.ndarray:
 
 
 def grlex_rank(alpha) -> np.ndarray:
-    """Position of each exponent (last axis) in the graded-lex simplex order.
-
-    The rank counts the exponents of lower total degree, then the lex-smaller
-    ones of the same degree, so it does not depend on any truncation degree.
-    """
+    """Position of each exponent (last axis) in the graded-lex simplex order: the
+    count of exponents of lower total degree, then of the lex-smaller ones of
+    the same degree, which depends on no truncation degree."""
     alpha = np.asarray(alpha, dtype=np.int64)
     n = alpha.shape[-1]
     rest = alpha.sum(axis=-1)
@@ -85,12 +74,9 @@ def grlex_rank(alpha) -> np.ndarray:
 
 
 class SimplexIndex:
-    """The graded-lex basis |alpha| <= degree in n variables, as arrays.
-
-    ``exponents[i]`` is ``basis[i]``, and ``hankel(shift)[i, j]`` is the rank
-    of ``basis[i] + basis[j] + shift``, so a vector of values indexed by rank
-    becomes a (localized) moment matrix by one gather.
-    """
+    """The graded-lex basis |alpha| <= degree in n variables: ``exponents[i]``
+    is ``basis[i]``, and ``hankel(shift)[i, j]`` is the rank of ``basis[i] +
+    basis[j] + shift``, so one gather makes a (localized) moment matrix."""
 
     def __init__(self, n: int, degree: int) -> None:
         self.basis: tuple[MultiIndex, ...] = tuple(iter_simplex(n, degree))
@@ -108,13 +94,9 @@ def simplex_index(n: int, degree: int) -> SimplexIndex:
 
 
 def monomial_values(points, exponents) -> np.ndarray:
-    """The Vandermonde V[k, i] = prod_j points[k, j] ** exponents[i, j].
-
-    No float power is taken: a power table holds x^0, x^1, ..., x^deg of every
-    coordinate as running products (np.cumprod), and each column of V is a
-    product of n gathers from it.  A power x^e is thus a chain of e - 1
-    multiplications and carries at most e - 1 roundings.
-    """
+    """The Vandermonde V[k, i] = prod_j points[k, j] ** exponents[i, j], from a
+    table of running products x^0, ..., x^deg per coordinate (np.cumprod): a
+    power x^e is a chain of e - 1 multiplications, not a float power."""
     points = np.asarray(points, dtype=float)
     exponents = np.asarray(exponents, dtype=np.int64)
     n = points.shape[1]
@@ -128,37 +110,96 @@ def monomial_values(points, exponents) -> np.ndarray:
     return values.T
 
 
-def _canonical(n: int, terms: Mapping[MultiIndex, float]) -> dict[MultiIndex, float]:
-    # Exact zeros are dropped, nothing else: square-root approximants mix unit
-    # coefficients with astronomically large ones and stay meaningful, so any
-    # relative-magnitude cleanup would corrupt them.  The map is graded-lex.
-    staged: dict[MultiIndex, float] = {}
-    for alpha, coef in terms.items():
-        key = tuple(int(a) for a in alpha)
-        if len(key) != n:
-            raise ValueError(f"exponent {key} has length {len(key)}, expected {n}")
-        if any(a < 0 for a in key):
-            raise ValueError(f"negative exponent in {key}")
-        value = float(coef)
-        if not math.isfinite(value):
-            raise ValueError(f"coefficient {value} at {key} is not finite")
-        if value != 0.0:
-            staged[key] = value
-    return dict(sorted(staged.items(), key=lambda item: grlex_key(item[0])))
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-@dataclass(frozen=True)
+def exponent_array(rows, n: int) -> tuple[Sequence, np.ndarray]:
+    """The exponent rows as integer sequences and as a (len(rows), n) int64
+    array, where a row of another length or with an entry beyond int64 is
+    -1s.  When some entry is not a plain int, each is read by integer_field
+    (2.0 reads as 2; 2.5 and true are errors)."""
+    if n < 1:
+        raise ValueError("dimension must be >= 1")
+    if isinstance(rows, np.ndarray) and rows.dtype == np.int64 and rows.shape == (len(rows), n):
+        return rows, rows
+    if not set(map(type, itertools.chain.from_iterable(rows))) <= {int}:
+        rows = [[integer_field(a, "exponent") for a in row] for row in rows]
+    try:
+        return rows, np.array(rows, dtype=np.int64).reshape(len(rows), n)
+    except (ValueError, OverflowError):  # rows of another length, or beyond int64
+        fits = [len(row) == n and -_INT64_MAX <= min(row) <= max(row) <= _INT64_MAX for row in rows]
+        fitted = [row if ok else [-1] * n for row, ok in zip(rows, fits)]
+        return rows, np.array(fitted, dtype=np.int64).reshape(len(rows), n)
+
+
+def grlex_sort(exponents: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(order, ranked, repeat): the stable graded-lex order of exponent rows
+    (np.lexsort on total degree, then the exponents: no grlex_rank, so no
+    exponent is too large), the sorted rows, and which sorted rows after the
+    first equal the one before."""
+    order = np.lexsort([*exponents.T[::-1], exponents.sum(axis=1)])
+    ranked = exponents[order]
+    return order, ranked, (ranked[1:] == ranked[:-1]).all(axis=1)
+
+
+# exponents and coefficients already in the stored order: unique rows, graded-lex
+_Rows = NamedTuple("_Rows", [("exponents", np.ndarray), ("coefs", np.ndarray)])
+
+
+def _checked(n: int, rows, values) -> tuple[np.ndarray, np.ndarray]:
+    # The int64 exponents and float coefficients, or a ValueError naming the first
+    # bad exponent: of another length, negative, or with entries or a total beyond int64.
+    rows, exponents = exponent_array(rows, n)
+    if exponents.view(np.uint64).max(initial=0) > _INT64_MAX // n:  # negatives read as >= 2**63
+        bad = (exponents < 0).any(axis=1) | (exponents.astype(object).sum(axis=1) > _INT64_MAX)
+        if bad.any():  # else large exponents whose total degrees all fit
+            alpha = tuple(int(a) for a in rows[int(np.argmax(bad))])
+            if len(alpha) != n:
+                raise ValueError(f"exponent {alpha} has length {len(alpha)}, expected {n}")
+            if min(alpha) < 0:
+                raise ValueError(f"negative exponent in {alpha}")
+            raise ValueError(f"exponent {alpha} does not fit in int64, nor may its total degree")
+    coefs = np.asarray(values, dtype=float)
+    if coefs.shape != (len(exponents),):
+        raise ValueError(f"{len(exponents)} exponent rows, coefficients of shape {coefs.shape}")
+    return exponents, coefs
+
+
+def _canonical(exponents: np.ndarray, coefs: np.ndarray) -> _Rows:
+    # The rows sorted graded-lex, repeats summed in input order (np.bincount adds from 0.0).
+    order, ranked, repeat = grlex_sort(exponents)
+    coefs = coefs[order]
+    if np.count_nonzero(repeat):
+        first = np.ones(len(ranked), dtype=bool)
+        first[1:] = ~repeat
+        ranked, coefs = ranked[first], np.bincount(np.cumsum(first) - 1, coefs)
+    return _Rows(ranked, coefs)
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class Polynomial:
-    """Immutable sparse polynomial (equivalently a finite-support sequence);
-    ``terms`` is a read-only map that iterates in graded-lex order."""
+    """Immutable sparse polynomial: read-only ``exponents`` (k, n), unique
+    int64 rows in graded-lex order, and ``coefs`` (k,), finite and nonzero.
+
+    ``terms`` is a map from exponent tuples to coefficients, or an
+    (exponents, coefs) pair of rows in any order.  An error names the first
+    bad exponent (see _checked), or else the first coefficient in graded-lex
+    order that is not finite."""
 
     n: int
-    terms: Mapping[MultiIndex, float]
+    exponents: np.ndarray
+    coefs: np.ndarray
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("dimension must be >= 1")
-        object.__setattr__(self, "terms", MappingProxyType(_canonical(self.n, self.terms)))
+    def __init__(self, n: int, terms) -> None:
+        if not isinstance(terms, _Rows):
+            pair = terms if isinstance(terms, tuple) else (list(terms), list(terms.values()))
+            terms = _canonical(*_checked(n, *pair))
+        coefs = _check_finite_rows(np.asarray(terms.coefs, dtype=float), terms.exponents)
+        nonzero = coefs != 0.0  # exact zeros only: approximants mix unit and huge coefficients
+        exponents, coefs = _read_only(terms.exponents[nonzero], coefs[nonzero])
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "exponents", exponents)
+        object.__setattr__(self, "coefs", coefs)
 
     @classmethod
     def zero(cls, n: int) -> Polynomial:
@@ -172,25 +213,36 @@ class Polynomial:
     def variable(cls, n: int, index: int) -> Polynomial:
         if not 0 <= index < n:
             raise ValueError(f"variable index {index} out of range for n={n}")
-        exp = [0] * n
-        exp[index] = 1
-        return cls(n, {tuple(exp): 1.0})
+        return cls(n, {tuple(int(j == index) for j in range(n)): 1.0})
 
     @classmethod
     def monomial(cls, alpha: MultiIndex, coef: float = 1.0) -> Polynomial:
         return cls(len(alpha), {tuple(alpha): coef})
 
     @property
+    def terms(self) -> Mapping[MultiIndex, float]:
+        """A read-only map from exponent tuples to coefficients, in graded-lex
+        order, formed from the two arrays on each access."""
+        rows = map(tuple, self.exponents.tolist())
+        return MappingProxyType(dict(zip(rows, self.coefs.tolist())))
+
+    @property
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        return max((sum(a) for a in self.terms), default=-1)
+        return int(self.exponents[-1].sum()) if len(self.coefs) else -1
 
     @property
     def constant_term(self) -> float:
-        return self.terms.get((0,) * self.n, 0.0)
+        return float(self.coefs[0]) if len(self.coefs) and not self.exponents[0].any() else 0.0
 
     def coefficient(self, alpha: MultiIndex) -> float:
         return self.terms.get(tuple(alpha), 0.0)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        rows = np.array_equal(self.exponents, other.exponents)
+        return self.n == other.n and rows and np.array_equal(self.coefs, other.coefs)
 
     def __add__(self, other: Polynomial) -> Polynomial:
         return poly_add(self, other)
@@ -213,13 +265,9 @@ class Polynomial:
         return poly_eval(self, x)
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for alpha, coef in self.terms.items():
-            mono = "*".join(f"X{i + 1}^{a}" for i, a in enumerate(alpha) if a)
-            parts.append(f"{coef:g}" + (f"*{mono}" if mono else ""))
-        return " + ".join(parts)
+        monos = ["*".join(f"X{i + 1}^{a}" for i, a in enumerate(e) if a) for e in self.terms]
+        parts = [f"{c:g}" + (f"*{m}" if m else "") for m, c in zip(monos, self.coefs.tolist())]
+        return " + ".join(parts) or "0"
 
 
 def _check_same_dimension(f: Polynomial, g: Polynomial) -> None:
@@ -228,123 +276,117 @@ def _check_same_dimension(f: Polynomial, g: Polynomial) -> None:
 
 
 def poly_add(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Coefficientwise sum."""
+    """Coefficientwise sum: f_a + g_a, rounded once."""
     _check_same_dimension(f, g)
-    merged = dict(f.terms)
-    for alpha, coef in g.terms.items():
-        merged[alpha] = merged.get(alpha, 0.0) + coef
-    return Polynomial(f.n, merged)
+    rows = np.concatenate([f.exponents, g.exponents])
+    with np.errstate(over="ignore"):  # an overflow is rejected as not finite
+        return Polynomial(f.n, _canonical(rows, np.concatenate([f.coefs, g.coefs])))
 
 
 def poly_sub(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Coefficientwise difference."""
-    _check_same_dimension(f, g)
-    merged = dict(f.terms)
-    for alpha, coef in g.terms.items():
-        merged[alpha] = merged.get(alpha, 0.0) - coef
-    return Polynomial(f.n, merged)
+    """Coefficientwise difference: f_a + (-g_a), which rounds as f_a - g_a."""
+    return poly_add(f, poly_scale(g, -1.0))
 
 
 def poly_scale(f: Polynomial, c: float) -> Polynomial:
     """Scalar multiple c*f."""
-    c = float(c)
-    return Polynomial(f.n, {alpha: c * coef for alpha, coef in f.terms.items()})
+    with np.errstate(over="ignore"):
+        return Polynomial(f.n, _Rows(f.exponents, float(c) * f.coefs))
 
 
 def poly_mul(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Product, i.e. convolution of the coefficient maps.
-
-    Accumulation runs in graded-lex order on both factors so the rounding
-    pattern is identical run to run.
-    """
+    """Product, i.e. convolution of the coefficient sequences: the products
+    f_a g_b are summed into each coefficient in graded-lex order of a, then b."""
     _check_same_dimension(f, g)
-    acc: dict[MultiIndex, float] = {}
-    for alpha, ca in f.terms.items():
-        for beta, cb in g.terms.items():
-            key = tuple(a + b for a, b in zip(alpha, beta))
-            acc[key] = acc.get(key, 0.0) + ca * cb
-    return Polynomial(f.n, acc)
+    rows = (f.exponents[:, None, :] + g.exponents[None, :, :]).reshape(-1, f.n)
+    if rows.min(initial=0) < 0:  # a sum of two int64 exponents wrapped around
+        raise ValueError("an exponent of the product does not fit in int64")
+    with np.errstate(over="ignore", invalid="ignore"):
+        return Polynomial(f.n, (rows, np.outer(f.coefs, g.coefs).ravel()))
+
+
+def _power_products(exponents: np.ndarray, xs: tuple[float, ...], power) -> np.ndarray:
+    # prod_j power(xs[j], exponents[:, j]) per row, multiplied over the axes left
+    # to right from one table per axis of power(x_j, k) (Python's float ** int)
+    # for k = 0..top, or only the k that occur when top is far above their count.
+    out = np.ones(len(exponents))
+    for j, x in enumerate(xs):
+        ks, at = range(int(exponents[:, j].max(initial=0)) + 1), exponents[:, j]
+        if len(ks) > 4 * len(at) + 64:
+            ks, at = np.unique(at, return_inverse=True)
+        out = out * np.array([power(x, k) for k in map(int, ks)])[at]
+    return out
 
 
 def poly_eval(f: Polynomial, x) -> float:
-    """Evaluate f at a point, with compensated summation over the terms."""
+    """Evaluate f at a point, with compensated summation over the terms; a
+    power too large for a float raises OverflowError."""
     xs = tuple(float(v) for v in x)
     if len(xs) != f.n:
         raise ValueError(f"point has dimension {len(xs)}, expected {f.n}")
-    contributions = []
-    for alpha, coef in f.terms.items():
-        mono = 1.0
-        for xi, a in zip(xs, alpha):
-            if a:
-                mono *= xi ** a
-        contributions.append(coef * mono)
-    return math.fsum(contributions)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return math.fsum((f.coefs * _power_products(f.exponents, xs, pow)).tolist())
+
+
+def _power_or_inf(c: float, k: int) -> float:
+    try:
+        return c**k
+    except OverflowError:
+        return math.inf
 
 
 def axis_scale(f: Polynomial, scales) -> Polynomial:
-    """Substitute X_i -> c_i * X_i, i.e. map each coefficient f_a to f_a * c**a.
-
-    A term whose running product of c_i ** a_i overflows is formed again from
-    logs, so an axis that another brings back into range does not make it inf."""
+    """Substitute X_i -> c_i * X_i, i.e. map each coefficient f_a to f_a * c**a;
+    one whose product of powers is not finite is formed again from logs, so an
+    axis that another brings back into range does not make it inf."""
     cs = tuple(float(c) for c in scales)
     if len(cs) != f.n:
         raise ValueError(f"scale vector has dimension {len(cs)}, expected {f.n}")
     if any(c <= 0.0 for c in cs):
         raise ValueError("scale factors must be strictly positive")
-    out: dict[MultiIndex, float] = {}
-    for alpha, coef in f.terms.items():
-        try:
-            out[alpha] = coef * math.prod(c**a for c, a in zip(cs, alpha) if a)
-        except OverflowError:
-            out[alpha] = math.copysign(math.inf, coef)
-        if not math.isfinite(out[alpha]):
-            log = math.fsum([math.log(abs(coef))] + [a * math.log(c) for c, a in zip(cs, alpha)])
-            try:
-                out[alpha] = math.copysign(math.exp(log), coef)
-            except OverflowError:  # out of range itself: the constructor rejects it
-                pass
-    return Polynomial(f.n, out)
+    with np.errstate(over="ignore", invalid="ignore"):  # out of range: the constructor rejects it
+        out = f.coefs * _power_products(f.exponents, cs, _power_or_inf)
+        redo = ~np.isfinite(out)
+        if np.count_nonzero(redo):
+            logs = np.log(np.abs(f.coefs[redo])) + f.exponents[redo] @ np.log(cs)
+            out[redo] = np.copysign(np.exp(logs), f.coefs[redo])
+    return Polynomial(f.n, _Rows(f.exponents, out))
 
 
 def homogeneous_part(f: Polynomial, d: int) -> Polynomial:
     """Sum of the terms of total degree exactly d."""
     if d < 0:
         raise ValueError("degree must be >= 0")
-    return Polynomial(f.n, {a: c for a, c in f.terms.items() if sum(a) == d})
+    keep = f.exponents.sum(axis=1) == d
+    return Polynomial(f.n, _Rows(f.exponents[keep], f.coefs[keep]))
+
+
+def _check_finite_rows(values: np.ndarray, rows, what: str = "coefficient") -> np.ndarray:
+    # values unchanged, or a ValueError naming the first that is not finite and its row
+    finite = np.isfinite(values)
+    if np.count_nonzero(finite) < len(finite):
+        k = int(np.argmin(finite))
+        raise ValueError(f"{what} {float(values[k])} at {tuple(rows[k].tolist())} is not finite")
+    return values
 
 
 def check_finite(vector: np.ndarray, n: int, degree: int, what: str = "coefficient") -> np.ndarray:
     """The graded-lex vector over simplex_index(n, degree).basis unchanged, or
     a ValueError naming its first entry that is not finite and that exponent."""
-    finite = np.isfinite(vector)
-    if not finite.all():
-        k = int(np.argmin(finite))
-        alpha = simplex_index(n, degree).basis[k]
-        raise ValueError(f"{what} {float(vector[k])} at {alpha} is not finite")
-    return vector
+    return _check_finite_rows(vector, simplex_index(n, degree).exponents, what)
 
 
 def poly_from_vector(n: int, degree: int, vector: np.ndarray) -> Polynomial:
-    """The Polynomial whose coefficient at simplex_index(n, degree).basis[i] is
-    vector[i], for a float vector over that whole basis: finiteness is
-    checked, zeros are dropped, and the terms keep the graded-lex order of
-    the vector, so no exponent is re-checked and nothing is re-sorted."""
-    basis = simplex_index(n, degree).basis
-    nonzero = np.flatnonzero(check_finite(vector, n, degree))
-    poly = object.__new__(Polynomial)
-    object.__setattr__(poly, "n", n)
-    terms = dict(zip([basis[k] for k in nonzero.tolist()], vector[nonzero].tolist()))
-    object.__setattr__(poly, "terms", MappingProxyType(terms))
-    return poly
+    """The Polynomial with coefficient vector[i] at simplex_index(n, degree).basis[i],
+    for a float vector over that whole basis, kept in its order."""
+    return Polynomial(n, _Rows(simplex_index(n, degree).exponents, vector))
 
 
 def dense_coefficients(f: Polynomial, degree: int) -> np.ndarray:
     """The coefficients of f with |alpha| <= degree as a graded-lex vector."""
     out = np.zeros(simplex_size(f.n, degree))
-    if f.terms:
-        exponents = np.array(list(f.terms), dtype=np.int64)
-        keep = exponents.sum(axis=1) <= degree
-        out[grlex_rank(exponents[keep])] = np.array(list(f.terms.values()))[keep]
+    keep = f.exponents.sum(axis=1) <= degree
+    out[grlex_rank(f.exponents[keep])] = f.coefs[keep]
     return out
 
 
@@ -380,18 +422,12 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def sqrt_coefficients(f: np.ndarray, n: int, max_degree: int) -> np.ndarray:
-    """The recurrence of series_sqrt on graded-lex vectors: f holds at least
-    the coefficients of degree <= max_degree, f[0] > 0, and the result holds
-    those of g.
-
-    Degree d takes its d - 1 products g_j g_{d-j} from one np.bincount over a
-    cached pair table, which lists each product's pairs by ascending rank of
-    the left factor, as poly_mul visits them.  np.subtract.reduce down the
-    rows then subtracts the products from f_d one at a time in j order, so
-    every coefficient is rounded exactly as the sparse recurrence
-    g_d = (f_d - g_1 g_{d-1} - ... - g_{d-1} g_1) * (1 / (2 g_0)) rounds it.
-    An overflow is not raised here: it leaves an entry that is not finite.
-    """
+    """The recurrence of series_sqrt on graded-lex vectors f (to at least
+    max_degree, f[0] > 0) and g.  Degree d sums its products g_j g_{d-j} by
+    np.bincount over a cached pair table, left factors by ascending rank as
+    poly_mul sums them, and np.subtract.reduce takes them from f_d in j order:
+    each coefficient rounds as g_d = (f_d - g_1 g_{d-1} - ... - g_{d-1} g_1)
+    * (1 / (2 g_0)) does.  An overflow leaves an entry that is not finite."""
     g = np.zeros(simplex_size(n, max_degree))
     g[0] = math.sqrt(f[0])
     inv = 1.0 / (2.0 * g[0])
@@ -418,16 +454,10 @@ def truncated_square(h: np.ndarray, n: int, degree: int) -> np.ndarray:
 
 
 def series_sqrt(f: Polynomial, max_degree: int) -> Polynomial:
-    """Truncated formal power-series square root of f.
-
-    Returns g = g_0 + ... + g_D (homogeneous components up to D = max_degree)
-    with g**2 - f free of terms of total degree <= D.  The components obey
-    g_0 = sqrt(f_0) and g_d = (f_d - sum_{0<j<d} g_j g_{d-j}) / (2 g_0), so a
-    strictly positive constant term is required; the shifted variants that
-    make f(0) = 0 admissible live one level up.  The recurrence runs on dense
-    graded-lex vectors (sqrt_coefficients); a coefficient that overflows is
-    rejected as not finite.
-    """
+    """Truncated formal power-series square root of f: g = g_0 + ... + g_D,
+    D = max_degree, with g**2 - f free of terms of total degree <= D.  g_0 =
+    sqrt(f_0) and g_d = (f_d - sum_{0<j<d} g_j g_{d-j}) / (2 g_0), so f_0 > 0
+    is required (sqrt_square_approx shifts f); an overflow is an error."""
     if max_degree < 0:
         raise ValueError("degree bound must be >= 0")
     if f.constant_term <= 0.0:
@@ -438,10 +468,8 @@ def series_sqrt(f: Polynomial, max_degree: int) -> Polynomial:
 
 def poly_to_dict(f: Polynomial) -> dict:
     """JSON-ready form: {"n": ..., "terms": [{"exp": [...], "coef": ...}, ...]}."""
-    return {
-        "n": f.n,
-        "terms": [{"exp": list(alpha), "coef": coef} for alpha, coef in f.terms.items()],
-    }
+    rows = zip(f.exponents.tolist(), f.coefs.tolist())
+    return {"n": f.n, "terms": [{"exp": alpha, "coef": coef} for alpha, coef in rows]}
 
 
 def integer_field(value, name: str) -> int:
@@ -453,23 +481,16 @@ def integer_field(value, name: str) -> int:
     return out
 
 
-def entries_by_exponent(entries, value_key: str) -> dict[MultiIndex, float]:
-    """Read JSON entries {"exp": [...], value_key: number} into a map.
-
-    Exponents must be integers (see integer_field), and each may appear only
-    once.
-    """
-    out: dict[MultiIndex, float] = {}
-    for entry in entries:
-        alpha = tuple(integer_field(a, "exponent") for a in entry["exp"])
-        if alpha in out:
-            raise ValueError(f"duplicate exponent {list(alpha)}")
-        out[alpha] = float(entry[value_key])
-    return out
-
-
 def poly_from_dict(data: dict) -> Polynomial:
-    """Parse the JSON polynomial format; duplicate exponents are an error."""
+    """Parse the JSON polynomial format, read as an exponent array and a
+    coefficient array: entries in any order, each exponent once (the first
+    repeat is named after any error that Polynomial names)."""
     if not isinstance(data, dict) or "n" not in data or "terms" not in data:
         raise ValueError('polynomial JSON must be {"n": int, "terms": [...]}')
-    return Polynomial(integer_field(data["n"], "n"), entries_by_exponent(data["terms"], "coef"))
+    n = integer_field(data["n"], "n")
+    rows = [entry["exp"] for entry in data["terms"]]
+    exponents, coefs = _checked(n, rows, [float(entry["coef"]) for entry in data["terms"]])
+    order, ranked, repeat = grlex_sort(exponents)
+    if np.count_nonzero(repeat):
+        raise ValueError(f"duplicate exponent {exponents[order[1:][repeat].min()].tolist()}")
+    return Polynomial(n, _Rows(ranked, coefs[order]))

@@ -1,4 +1,5 @@
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from momentcone import (
     series_sqrt,
     simplex_size,
 )
-from momentcone.polyring import dense_coefficients, grlex_key, simplex_index, truncated_square
+from momentcone.polyring import dense_coefficients, simplex_index, truncated_square
 from conftest import (
     assert_poly_close,
     coefficient_gap,
@@ -47,6 +48,11 @@ def poly_strategy(n):
     return st.dictionaries(exponents_strategy(n), coef, min_size=0, max_size=6).map(
         lambda terms: Polynomial(n, terms)
     )
+
+
+def grlex_key(alpha):
+    # the graded-lex order as a sort key: total degree, then lex
+    return (sum(alpha), alpha)
 
 
 class TestSimplexOrder:
@@ -397,3 +403,161 @@ class TestJsonFormat:
         f = Polynomial(2, {(2, 0): 1.0, (0, 0): 1.0, (0, 1): 1.0})
         exps = [tuple(t["exp"]) for t in poly_to_dict(f)["terms"]]
         assert exps == [(0, 0), (0, 1), (2, 0)]
+
+
+# The dict loops the arithmetic ran before it moved to arrays: the reference
+# for every coefficient's value and rounding, and for the order of the terms.
+def dict_canonical(terms):
+    kept = [(alpha, coef) for alpha, coef in terms.items() if coef != 0.0]
+    return dict(sorted(kept, key=lambda item: grlex_key(item[0])))
+
+
+def dict_combine(f, g, op):
+    merged = dict(f)
+    for alpha, coef in g.items():
+        merged[alpha] = op(merged.get(alpha, 0.0), coef)
+    return dict_canonical(merged)
+
+
+def dict_mul(f, g):
+    acc = {}
+    for alpha, ca in f.items():
+        for beta, cb in g.items():
+            key = tuple(a + b for a, b in zip(alpha, beta))
+            acc[key] = acc.get(key, 0.0) + ca * cb
+    return dict_canonical(acc)
+
+
+def dict_eval(f, xs):
+    contributions = []
+    for alpha, coef in f.items():
+        mono = 1.0
+        for xi, a in zip(xs, alpha):
+            if a:
+                mono *= xi**a
+        contributions.append(coef * mono)
+    return math.fsum(contributions)
+
+
+def assert_ops_match_dict_loops(n, f_terms, g_terms, c, scales, x, d):
+    # the constructor and every operation equal their dict loops term for term,
+    # in order and bit for bit
+    f, g = Polynomial(n, f_terms), Polynomial(n, g_terms)
+    fd, gd = dict_canonical(f_terms), dict_canonical(g_terms)
+    expected = [
+        (f, fd),
+        (g, gd),
+        (poly_add(f, g), dict_combine(fd, gd, operator.add)),
+        (poly_sub(f, g), dict_combine(fd, gd, operator.sub)),
+        (poly_mul(f, g), dict_mul(fd, gd)),
+        (poly_scale(f, c), dict_canonical({a: c * v for a, v in fd.items()})),
+        (axis_scale(f, scales), dict_canonical(
+            {a: v * math.prod(s**e for s, e in zip(scales, a) if e) for a, v in fd.items()})),
+        (homogeneous_part(f, d), {a: v for a, v in fd.items() if sum(a) == d}),
+    ]
+    for got, want in expected:
+        assert list(got.terms.items()) == list(want.items())
+    assert poly_eval(f, x) == dict_eval(fd, x)
+
+
+@st.composite
+def dict_pairs(draw):
+    n = draw(st.integers(1, 3))
+    exponent = st.tuples(*[st.integers(0, 4)] * n)
+    coef = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
+    f, g = (draw(st.dictionaries(exponent, coef, max_size=12)) for _ in range(2))
+    scales = tuple(draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n)))
+    x = tuple(draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)))
+    return n, f, g, draw(coef), scales, x, draw(st.integers(0, 8))
+
+
+class TestArraysMatchDictLoops:
+    @settings(max_examples=300, deadline=None)
+    @given(dict_pairs())
+    def test_operations_match_dict_loops(self, case):
+        assert_ops_match_dict_loops(*case)
+
+    def test_exponent_beyond_the_grlex_rank_range(self):
+        # grlex_rank wraps around in int64 at X1^(10**10); the rows are sorted without it
+        big = 10**10
+        f_terms = {(big, 0): 1.5, (0, 1): 2.0, (1, 0): -3.0}
+        g_terms = {(0, big): 0.5, (big, 0): 0.25, (0, 0): 1.0}
+        f, g = Polynomial(2, f_terms), Polynomial(2, g_terms)
+        assert list(f.terms) == [(0, 1), (1, 0), (big, 0)]
+        assert f.degree == big
+        assert list(poly_mul(f, g).terms)[-3:] == [(big + 1, 0), (big, big), (2 * big, 0)]
+        assert_ops_match_dict_loops(2, f_terms, g_terms, -0.75, (1.0, 0.5), (-1.0, 0.5), big)
+
+
+class TestArrayForm:
+    def test_arrays_are_read_only_and_graded_lex(self):
+        f = Polynomial(2, {(2, 0): 1.0, (0, 0): 3.0, (0, 1): 0.0})
+        assert f.exponents.tolist() == [[0, 0], [2, 0]] and f.coefs.tolist() == [3.0, 1.0]
+        assert f.exponents.dtype == np.int64 and f.exponents.shape == (2, 2)
+        assert not f.exponents.flags.writeable and not f.coefs.flags.writeable
+        with pytest.raises(TypeError):
+            f.terms[(0, 0)] = 2.0
+
+    def test_pair_rows_are_summed_in_input_order_and_sorted(self):
+        rows = np.array([[1, 0], [0, 1], [1, 0], [0, 1]])
+        f = Polynomial(2, (rows, [0.1, 2.0, 0.2, -2.0]))
+        assert f.terms == {(1, 0): 0.1 + 0.2}
+        assert Polynomial(1, (np.zeros((0, 1), dtype=np.int64), [])) == Polynomial.zero(1)
+        with pytest.raises(ValueError, match=r"2 exponent rows, coefficients of shape \(1,\)"):
+            Polynomial(1, ([[1], [2]], [1.0]))
+
+    def test_equality_compares_the_arrays_and_hash_is_unsupported(self):
+        assert poly_sub(X, X) == Polynomial.zero(1)
+        assert Polynomial(1, {(1,): 1.0}) == X != Polynomial(2, {(1, 0): 1.0})
+        assert X != 2.0 * X and X != "X"
+        with pytest.raises(TypeError):
+            hash(X)
+
+    def test_integral_float_exponent_reads_as_integer(self):
+        assert Polynomial(1, {(2.0,): 1.0}) == Polynomial(1, {(2,): 1.0})
+
+    @pytest.mark.parametrize(
+        "alpha, message",
+        [
+            ((2.5,), "exponent 2.5 is not an integer"),
+            ((True,), "exponent True is not an integer"),
+            ((10**30,), f"exponent ({10**30},) does not fit in int64"),
+        ],
+        ids=["fractional", "boolean", "beyond-int64"],
+    )
+    def test_exponent_that_is_no_int64_integer_rejected(self, alpha, message):
+        with pytest.raises(ValueError) as info:
+            Polynomial(1, {alpha: 1.0})
+        assert str(info.value).startswith(message)
+
+    def test_total_degree_beyond_int64_rejected(self):
+        assert Polynomial(2, {(2**62, 0): 1.0}).degree == 2**62
+        with pytest.raises(ValueError, match="does not fit in int64"):
+            Polynomial(2, {(2**62, 2**62): 1.0})
+        with pytest.raises(ValueError, match="product does not fit in int64"):
+            poly_mul(Polynomial(1, {(2**62,): 1.0}), Polynomial(1, {(2**62,): 1.0}))
+
+
+class TestJsonErrors:
+    @pytest.mark.parametrize(
+        "terms, message",
+        [
+            ([{"exp": [2.5], "coef": 1.0}], "exponent 2.5 is not an integer"),
+            ([{"exp": [2], "coef": 1.0}, {"exp": [2.0], "coef": 1.0}], "duplicate exponent [2]"),
+            ([{"exp": [1, 0], "coef": 1.0}, {"exp": [2], "coef": 1.0}],
+             "exponent (2,) has length 1, expected 2"),
+            ([{"exp": [-2], "coef": 1.0}], "negative exponent in (-2,)"),
+            ([{"exp": [1], "coef": 1.0}, {"exp": [2], "coef": math.nan}],
+             "coefficient nan at (2,) is not finite"),
+        ],
+        ids=["fractional", "duplicate", "wrong-length", "negative", "not-finite"],
+    )
+    def test_first_bad_entry_is_named(self, terms, message):
+        n = len(terms[0]["exp"])
+        with pytest.raises(ValueError) as info:
+            poly_from_dict({"n": n, "terms": terms})
+        assert str(info.value) == message
+
+    def test_entries_in_any_order(self):
+        data = {"n": 1, "terms": [{"exp": [3], "coef": 1.0}, {"exp": [0], "coef": 2.0}]}
+        assert poly_from_dict(data) == Polynomial(1, {(0,): 2.0, (3,): 1.0})

@@ -1,7 +1,8 @@
 """Style checks over src/, tests/ and scripts/: every imported name is used
 (package __init__ re-exports and __future__ imports are exempt), no line is
-longer than 100 characters, and no module under src/ imports a private
-(underscore) name from another module of the package."""
+longer than 100 characters, no module under src/ imports a private
+(underscore) name from another module of the package, and no module under
+src/ but polyring reads a polynomial's terms map or calls object.__new__."""
 
 import ast
 from pathlib import Path
@@ -69,3 +70,28 @@ def test_no_private_imports_across_src_modules():
         for item in private_imports(path)
     ]
     assert not found, "private names imported across modules:\n" + "\n".join(found)
+
+
+def dict_form_reads(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute):
+            continue
+        if node.attr == "terms" and path.name != "polyring.py":
+            found.append(f".terms (line {node.lineno})")
+        if node.attr == "__new__" and getattr(node.value, "id", None) == "object":
+            found.append(f"object.__new__ (line {node.lineno})")
+    return found
+
+
+def test_polynomials_read_through_their_arrays_outside_polyring():
+    # Polynomial stores exponent and coefficient arrays; its terms map is a view
+    # for the public API, and no module builds an instance around its constructor
+    found = [
+        f"{path.relative_to(ROOT)}: {item}"
+        for path in FILES
+        if path.is_relative_to(ROOT / "src")
+        for item in dict_form_reads(path)
+    ]
+    assert not found, "dict-form reads under src/:\n" + "\n".join(found)
