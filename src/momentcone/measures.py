@@ -109,13 +109,9 @@ class BoxSpec:
 
 
 def box_from_weight(w: WeightSpec) -> BoxSpec:
-    """The box matched to a weight spec: halfwidth r_i^(1/p) for p < inf and
-    r_i for p = inf."""
-    if w.p == math.inf:
-        half = w.r
-    else:
-        half = tuple(v ** (1.0 / float(w.p)) for v in w.r)
-    return BoxSpec.from_halfwidths(half)
+    """The box matched to a weight spec: halfwidths w.halfwidths, r_i^(1/p)
+    for p < inf and r_i for p = inf."""
+    return BoxSpec.from_halfwidths(w.halfwidths)
 
 
 def moments_of_measure(mu: AtomicMeasure, max_degree: int) -> MomentSequence:

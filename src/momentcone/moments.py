@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .norms import WeightSpec, dual_weight, term_magnitude
+from .norms import WeightSpec, conjugate_exponent, lp_norms
 from .polyring import (
     Polynomial,
     check_finite,
@@ -207,30 +207,21 @@ def check_quadratic_module(
 
 
 def dual_norm_profile(s: MomentSequence, w: WeightSpec) -> list[float]:
-    """Dual-space norm of the moments with |alpha| <= D against dual_weight(w),
-    for D = 0..max_degree.
+    """Dual-space norm of the moments with |alpha| <= D, for D = 0..max_degree:
+    the lq norm of (|s(a)| c^-a)_a, c = w.halfwidths and q the conjugate
+    exponent of w.p.
 
     For w = (1, r) this is the sup of |s(a)| r^-a, for w = (inf, r) the sum of
-    |s(a)| r^-a, and for 1 < p < inf the lq sum against r^(-q/p).  The
-    by-degree profile lets callers monitor whether the underlying infinite
-    sum or sup looks summable or keeps growing with the truncation.  In
-    graded-lex order the entry for D is a prefix of the terms.
+    |s(a)| r^-a.  The by-degree profile lets callers monitor whether the
+    underlying infinite sum or sup looks summable or keeps growing with the
+    truncation.  In graded-lex order the entry for D is a prefix of the terms.
     """
     if s.n != w.n:
         raise ValueError(f"dimension mismatch: {s.n} vs {w.n}")
-    dual = dual_weight(w)
-    sup = dual.q == math.inf
-    power = 1.0 if sup else float(dual.q)
-    basis = simplex_index(s.n, s.max_degree).basis
-    terms = [
-        term_magnitude(abs(v), power, dual.r_prime, alpha) if v != 0.0 else 0.0
-        for alpha, v in zip(basis, s.vector.tolist())
-    ]
-    profile = []
-    for degree in range(s.max_degree + 1):
-        seen = terms[: simplex_size(s.n, degree)]
-        profile.append(max(seen) if sup else math.fsum(seen) ** (1.0 / power))
-    return profile
+    scales = tuple(1.0 / c for c in w.halfwidths)
+    ends = [simplex_size(s.n, degree) for degree in range(s.max_degree + 1)]
+    exponents = simplex_index(s.n, s.max_degree).exponents
+    return lp_norms(exponents, s.vector, scales, conjugate_exponent(w.p), ends)
 
 
 def dual_norm_of_moments(s: MomentSequence, w: WeightSpec) -> float:

@@ -3,6 +3,9 @@
 An exponent p lives in [1, inf]; finite values are kept as exact Fractions so
 conjugates come out exact, and math.inf marks the sup norm.  The weight is a
 strictly positive vector r, giving ||s||_{p,r} = (sum |s_a|^p r^a)^(1/p).
+Every norm reads r through the halfwidths c = r^(1/p) of the matched box
+(c = r at p = inf): ||s||_{p,r} = ||(|s_a| c^a)_a||_p, and the dual norm of
+a sequence is ||(|s_a| c^-a)_a||_q with 1/p + 1/q = 1.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from typing import Union
 
 import numpy as np
 
-from .polyring import Polynomial, axis_scale, monomial_values, simplex_index
+from .polyring import Polynomial, axis_scale, scaled_coefficients, simplex_index
 
 PExponent = Union[Fraction, float]  # Fraction when finite, math.inf otherwise
 
@@ -60,6 +63,14 @@ class WeightSpec:
     def n(self) -> int:
         return len(self.r)
 
+    @property
+    def halfwidths(self) -> tuple[float, ...]:
+        """c = r^(1/p), or r at p = inf: the halfwidths of the matched box, and
+        the one scale every norm reads."""
+        if self.p == math.inf:
+            return self.r
+        return tuple(v ** (1.0 / float(self.p)) for v in self.r)
+
 
 @dataclass(frozen=True)
 class DualSpec:
@@ -97,126 +108,94 @@ def dual_weight(w: WeightSpec) -> DualSpec:
     return DualSpec(q, tuple(v ** exponent for v in w.r))
 
 
-def term_magnitude(abs_coef: float, power: float, r: tuple[float, ...], alpha) -> float:
-    """|c|^power * r^alpha, fusing both factors in log space when either one
-    alone would overflow or underflow."""
-    logs = [a * math.log(v) for v, a in zip(r, alpha) if a]
-    if any(abs(t) > 600.0 for t in logs) or not (1e-250 < abs_coef < 1e250):
-        log_term = power * math.log(abs_coef) + math.fsum(logs)
-        if log_term > 709.0:
-            return math.inf
-        return math.exp(log_term)
-    return abs_coef ** power * math.prod(v ** a for v, a in zip(r, alpha) if a)
-
-
 def _check_dims(s: Polynomial, w: WeightSpec) -> None:
     if s.n != w.n:
         raise ValueError(f"dimension mismatch: sequence has n={s.n}, weight has n={w.n}")
 
 
-def weighted_norm(s: Polynomial, w: WeightSpec) -> float:
-    """||s||_{p,r} of a finite-support sequence.
+def lp_norms(exponents: np.ndarray, values: np.ndarray, scales, p, ends) -> list[float]:
+    """The lp norm of the magnitudes m_a = |values_a| * scales^a over the first
+    `end` rows, for each end in ends: the max at p = inf, else top * (sum
+    (m_a / top)^p)^(1/p), top the power of two just above the prefix's
+    largest m_a.  Dividing by top is exact and no power overflows or
+    underflows the sum (Blue 1978, as in LAPACK's dnrm2); inf only when the
+    norm is too large for a float."""
+    magnitudes = np.abs(scaled_coefficients(exponents, values, scales))
+    tops = np.maximum.accumulate(magnitudes).tolist()
+    norms, shift = [], None
+    with np.errstate(over="ignore"):  # rows past a prefix may overflow; they go unread
+        for end in ends:
+            top = tops[end - 1] if end else 0.0
+            if p == math.inf or not 0.0 < top < math.inf:
+                norms.append(top)
+                continue
+            if math.frexp(top)[1] != shift:  # the prefix's powers, once per top
+                shift = math.frexp(top)[1]
+                powers = (np.ldexp(magnitudes, -shift) ** float(p)).tolist()
+            root = math.fsum(powers[:end]) ** (1.0 / float(p))
+            norms.append(float(np.ldexp(root, shift)))
+    return norms
 
-    For p < inf this is (sum |s_a|^p r^a)^(1/p); for p = inf the sup of
-    |s_a| r^a.  With r = (1,...,1) it reduces to the unweighted lp norm.
-    """
+
+def weighted_norm(s: Polynomial, w: WeightSpec) -> float:
+    """||s||_{p,r} = ||(|s_a| c^a)_a||_p, c = w.halfwidths, of a finite-support
+    sequence: (sum |s_a|^p r^a)^(1/p) for p < inf and the sup of |s_a| r^a for
+    p = inf.  With r = (1,...,1) it reduces to the unweighted lp norm."""
     _check_dims(s, w)
-    power = 1.0 if w.p == math.inf else float(w.p)
-    terms = zip(s.exponents.tolist(), np.abs(s.coefs).tolist())
-    magnitudes = [term_magnitude(c, power, w.r, a) for a, c in terms]
-    if w.p == math.inf:
-        return max(magnitudes, default=0.0)
-    return math.fsum(magnitudes) ** (1.0 / power)
+    return lp_norms(s.exponents, s.coefs, w.halfwidths, w.p, (len(s.coefs),))[0]
 
 
 def scaling_isometry(s: Polynomial, w: WeightSpec, direction: str = "forward") -> Polynomial:
     """The diagonal map between the unweighted and weighted spaces.
 
-    forward sends s_a -> s_a * r^(-a/p) (an isometry from lp onto l_{p,r});
-    inverse undoes it.  Defined for p < inf only.
+    forward sends s_a -> s_a * c^(-a), c = w.halfwidths (an isometry from lp
+    onto l_{p,r}); inverse undoes it.  Defined for p < inf only.
     """
     _check_dims(s, w)
     if w.p == math.inf:
         raise ValueError("the diagonal scaling map is defined for p < inf")
     if direction not in ("forward", "inverse"):
         raise ValueError("direction must be 'forward' or 'inverse'")
-    sign = -1.0 if direction == "forward" else 1.0
-    exponent = sign / float(w.p)
-    return axis_scale(s, tuple(v ** exponent for v in w.r))
+    c = w.halfwidths
+    return axis_scale(s, tuple(1.0 / v for v in c) if direction == "forward" else c)
 
 
-def _ratios(xs: tuple[float, ...], dual: DualSpec) -> list[float]:
-    # |x_i|^q r'_i, with a power too large for a float read as inf (so >= 1)
-    ratios = []
-    for xi, rp in zip(xs, dual.r_prime):
-        try:
-            ratios.append(abs(xi) ** float(dual.q) * rp)
-        except OverflowError:
-            ratios.append(math.inf)
-    return ratios
-
-
-def _monomials(bases: list[float], exponents: np.ndarray) -> np.ndarray:
-    # bases^a over the exponents.  A nan is inf * 0 from a power that overflowed,
-    # and that base's pure power, also in the simplex, is inf: the nan reads as inf.
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = monomial_values([bases], exponents)[0]
-    return np.where(np.isnan(values), math.inf, values)
+def _box_ratios(x, w: WeightSpec) -> np.ndarray:
+    # |x_i| / c_i, the point measured in halfwidths of the matched box
+    xs = np.abs(np.array([float(v) for v in x]))
+    if len(xs) != w.n:
+        raise ValueError(f"point has dimension {len(xs)}, expected {w.n}")
+    with np.errstate(over="ignore"):  # inf: the point is far outside the box
+        return xs / np.array(w.halfwidths)
 
 
 def eval_sequence_norm(x, w: WeightSpec) -> float:
     """Dual-space norm of the point-power sequence (x^a)_a, or math.inf.
 
-    For dual exponent q < inf the value has the closed product form
-    (prod_i 1/(1 - |x_i|^q r'_i))^(1/q), finite exactly when every factor
-    ratio is < 1 (a ratio too large for a float counts as >= 1); for dual
-    exponent inf the sup is 1 when all |x_i| r'_i <= 1 and infinite otherwise.
+    With t_i = (|x_i| / c_i)^q, c = w.halfwidths and q the conjugate exponent,
+    the value for q < inf has the closed product form (prod_i 1/(1 - t_i))^(1/q),
+    finite exactly when every t_i is < 1 (one too large for a float is inf);
+    for q = inf the sup is 1 when all |x_i| <= c_i and infinite otherwise.
     """
-    xs = tuple(float(v) for v in x)
-    if len(xs) != w.n:
-        raise ValueError(f"point has dimension {len(xs)}, expected {w.n}")
-    dual = dual_weight(w)
-    if dual.q == math.inf:
-        ok = all(abs(xi) * rp <= 1.0 for xi, rp in zip(xs, dual.r_prime))
-        return 1.0 if ok else math.inf
-    qf = float(dual.q)
-    ratios = _ratios(xs, dual)
-    if any(t >= 1.0 for t in ratios):
+    ratios = _box_ratios(x, w)
+    q = conjugate_exponent(w.p)
+    if q == math.inf:
+        return 1.0 if np.all(ratios <= 1.0) else math.inf
+    with np.errstate(over="ignore"):
+        ratios = ratios ** float(q)
+    if np.any(ratios >= 1.0):
         return math.inf
-    prod = 1.0
-    for t in ratios:
-        prod *= 1.0 / (1.0 - t)
-    return prod ** (1.0 / qf)
+    return math.prod((1.0 / (1.0 - ratios)).tolist()) ** (1.0 / float(q))
 
 
 def eval_sequence_norm_partial(x, w: WeightSpec, max_degree: int) -> float:
-    """Truncation of eval_sequence_norm to multi-indices with |a| <= max_degree;
-    inf only when it is too large for a float: a sum that overflows, in a
-    term or only in the sum, is formed again from the logs of its terms,
-    with the largest one factored out."""
-    xs = tuple(float(v) for v in x)
-    if len(xs) != w.n:
-        raise ValueError(f"point has dimension {len(xs)}, expected {w.n}")
-    dual = dual_weight(w)
+    """Truncation of eval_sequence_norm to multi-indices with |a| <= max_degree:
+    the lq norm of ((|x| / c)^a)_a, c = w.halfwidths; inf only when it is too
+    large for a float."""
+    ratios = _box_ratios(x, w)
     exponents = simplex_index(w.n, max_degree).exponents
-    if dual.q == math.inf:
-        factors = [abs(xi) * rp for xi, rp in zip(xs, dual.r_prime)]
-        return float(np.max(_monomials(factors, exponents)))
-    qf = float(dual.q)
-    try:  # fsum raises on a sum of finite terms that overflows
-        value = math.fsum(_monomials(_ratios(xs, dual), exponents)) ** (1.0 / qf)
-    except OverflowError:
-        value = math.inf
-    if math.isfinite(value):
-        return value
-    with np.errstate(divide="ignore", invalid="ignore"):  # log 0 = -inf, and 0 * -inf
-        log_ratios = qf * np.log(np.abs(xs)) + np.log(dual.r_prime)
-        logs = np.where(exponents > 0, exponents * log_ratios, 0.0).sum(axis=1)
-    top = float(logs.max())
-    try:
-        return math.exp((top + math.log(math.fsum(np.exp(logs - top)))) / qf)
-    except OverflowError:
-        return math.inf
+    ones = np.ones(len(exponents))
+    return lp_norms(exponents, ones, ratios, conjugate_exponent(w.p), (len(ones),))[0]
 
 
 def is_evaluation_continuous(x, w: WeightSpec) -> bool:

@@ -236,7 +236,11 @@ class Polynomial:
         return float(self.coefs[0]) if len(self.coefs) and not self.exponents[0].any() else 0.0
 
     def coefficient(self, alpha: MultiIndex) -> float:
-        return self.terms.get(tuple(alpha), 0.0)
+        """The coefficient of the row equal to alpha, or 0.0 when none is."""
+        if len(alpha) != self.n:
+            return 0.0
+        hit = np.flatnonzero((self.exponents == tuple(alpha)).all(axis=1))
+        return float(self.coefs[hit[0]]) if len(hit) else 0.0
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
@@ -328,29 +332,49 @@ def poly_eval(f: Polynomial, x) -> float:
         return math.fsum((f.coefs * _power_products(f.exponents, xs, pow)).tolist())
 
 
-def _power_or_inf(c: float, k: int) -> float:
+_TINY = float(np.finfo(float).tiny)  # the smallest normal float
+
+
+def _normal_power(c: float, k: int) -> float:
+    # c ** k when it is a normal float or 1; else inf above the range, 0 below it
     try:
-        return c**k
+        power = c**k
     except OverflowError:
         return math.inf
+    return power if power >= _TINY else 0.0
+
+
+def scaled_coefficients(exponents: np.ndarray, coefs: np.ndarray, scales) -> np.ndarray:
+    """coefs[k] * prod_i scales[i] ** exponents[k, i], for scales >= 0 (inf
+    read as a scale too large for a float), from per-axis tables of Python
+    float ** int.  An entry whose product of powers, or a power in it, is
+    out of the normal float range is formed again from logs, so an axis that
+    another brings back into range costs it neither its value nor its
+    precision, and an exact zero times an overflowing power is 0; an entry
+    too large for a float is inf."""
+    cs = tuple(float(c) for c in scales)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # log 0 = -inf
+        powers = _power_products(exponents, cs, _normal_power)
+        out = coefs * powers
+        redo = ~np.isfinite(out) | ~(powers >= _TINY)
+        if np.count_nonzero(redo):
+            rows, values = exponents[redo], coefs[redo]
+            logs = np.where(rows > 0, rows * np.log(cs), 0.0).sum(axis=1)  # no 0 * log 0
+            logs = logs + np.log(np.abs(values))
+            logs[np.isnan(logs)] = -np.inf  # inf - inf: an exact zero wins
+            out[redo] = np.copysign(np.exp(logs), values)
+    return out
 
 
 def axis_scale(f: Polynomial, scales) -> Polynomial:
-    """Substitute X_i -> c_i * X_i, i.e. map each coefficient f_a to f_a * c**a;
-    one whose product of powers is not finite is formed again from logs, so an
-    axis that another brings back into range does not make it inf."""
+    """Substitute X_i -> c_i * X_i, i.e. map each coefficient f_a to f_a * c**a
+    (see scaled_coefficients)."""
     cs = tuple(float(c) for c in scales)
     if len(cs) != f.n:
         raise ValueError(f"scale vector has dimension {len(cs)}, expected {f.n}")
     if any(c <= 0.0 for c in cs):
         raise ValueError("scale factors must be strictly positive")
-    with np.errstate(over="ignore", invalid="ignore"):  # out of range: the constructor rejects it
-        out = f.coefs * _power_products(f.exponents, cs, _power_or_inf)
-        redo = ~np.isfinite(out)
-        if np.count_nonzero(redo):
-            logs = np.log(np.abs(f.coefs[redo])) + f.exponents[redo] @ np.log(cs)
-            out[redo] = np.copysign(np.exp(logs), f.coefs[redo])
-    return Polynomial(f.n, _Rows(f.exponents, out))
+    return Polynomial(f.n, _Rows(f.exponents, scaled_coefficients(f.exponents, f.coefs, cs)))
 
 
 def homogeneous_part(f: Polynomial, d: int) -> Polynomial:

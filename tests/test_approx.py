@@ -28,6 +28,7 @@ from momentcone import (
 )
 import momentcone.approx as approx_module
 from momentcone.measures import BoxSpec
+from momentcone.polyring import monomial_values
 from conftest import random_sparse_poly
 
 X = Polynomial.variable(1, 0)
@@ -521,8 +522,8 @@ class TestBracketBoxMinimum:
         lower, upper, point, entries, stop = bracket_box_minimum(f, box)
         axes = [np.linspace(-c, c, 41 if f.n < 3 else 13) for c in halfwidths]
         grid = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
-        grid_min = min(poly_eval(f, x) for x in grid)
-        scale = sum(abs(c) * math.prod(halfwidths) ** 4 for c in f.terms.values())
+        grid_min = float((monomial_values(grid, f.exponents) @ f.coefs).min())
+        scale = sum(abs(c) * math.prod(halfwidths) ** 4 for c in f.coefs.tolist())
         assert lower <= grid_min + 1e-13 * max(scale, 1.0)
         assert lower <= upper
         assert box.contains(point)

@@ -102,6 +102,13 @@ class TestNormCommand:
         assert captured.out == ""
         assert captured.err.startswith("error:")
 
+    def test_coefficient_whose_square_overflows(self, tmp_path, capsys):
+        # (1e160)^2 is too large for a float, but the norm is 1e160
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(poly_to_dict(Polynomial.monomial((1,), 1e160))))
+        assert main(["norm", "--f", str(path), "--p", "2", "--r", "1"]) == 0
+        assert capsys.readouterr().out == "1e+160\n"
+
     @pytest.mark.parametrize("literal", ["1.9", "true"])
     def test_non_integral_dimension_exit_one(self, literal, tmp_path, capsys):
         path = tmp_path / "poly.json"
@@ -127,6 +134,11 @@ class TestEvalContCommand:
 
     def test_weighted_closed_box(self, capsys):
         assert main(["eval-cont", "--x", "2", "--p", "1", "--r", "4"]) == 0
+
+    def test_tiny_weight_whose_dual_power_overflows(self, capsys):
+        # r^(-q/p) = 1e600 is too large for a float; the halfwidth r^(1/p) is 1e-200
+        assert main(["eval-cont", "--x", "0", "--p", "1.5", "--r", "1e-300"]) == 0
+        assert capsys.readouterr().out == "continuous, dual_norm=1\n"
 
     @pytest.mark.parametrize(
         "argv",

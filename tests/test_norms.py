@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -6,15 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from momentcone import (
+    MomentSequence,
     Polynomial,
     WeightSpec,
     axis_scale,
     conjugate_exponent,
+    dual_norm_profile,
     dual_weight,
     eval_sequence_norm,
     eval_sequence_norm_partial,
     holder_product_norm,
     is_evaluation_continuous,
+    iter_simplex,
     poly_eval,
     scaling_isometry,
     weighted_norm,
@@ -59,6 +63,11 @@ class TestWeightSpec:
         w = WeightSpec("1.5", (1.0,))
         assert w.p == Fraction(3, 2)
 
+    def test_halfwidths(self):
+        assert WeightSpec(2, (4.0, 9.0)).halfwidths == (2.0, 3.0)
+        assert WeightSpec(1, (4.0,)).halfwidths == (4.0,)
+        assert WeightSpec("inf", (4.0,)).halfwidths == (4.0,)
+
 
 class TestWeightedNorm:
     def test_single_term(self):
@@ -81,6 +90,30 @@ class TestWeightedNorm:
         value = weighted_norm(f, WeightSpec(1, (10.0,)))
         # 1e-300 * 10^400 = 1e100, finite only if powers are combined in log space
         assert value == pytest.approx(1e100, rel=1e-9)
+
+    @pytest.mark.parametrize("coef", [1e160, 1e-170])
+    def test_term_whose_power_leaves_the_float_range(self, coef):
+        # (1e160)^2 overflows and (1e-170)^2 underflows to 0, but the norm is coef
+        assert weighted_norm(Polynomial.monomial((1,), coef), WeightSpec(2, (1.0,))) == coef
+
+    @pytest.mark.parametrize("coef, r, expected", [
+        (1e300, (1e-200, 1e200), 1e100), (1.0, (1e-160, 1e160), 1e-160)])
+    def test_axis_power_brought_back_by_another(self, coef, r, expected):
+        # (1e-200)^2 underflows to 0, and (1e-160)^2 = 1e-320 is subnormal (about
+        # 5 digits), but the other axis brings the term back into range
+        value = weighted_norm(Polynomial(2, {(2, 1): coef}), WeightSpec(1, r))
+        assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+class TestDualNormProfile:
+    def test_moment_whose_power_overflows(self):
+        s = MomentSequence(1, 2, [1.0, 0.0, 1e200])
+        assert dual_norm_profile(s, WeightSpec(2, (1.0,))) == [1.0, 1.0, 1e200]
+
+    def test_zero_moments_against_an_infinite_scale(self):
+        # 1 / 5e-324 is inf; a zero moment times its powers is still 0
+        s = MomentSequence(1, 2, [1.0, 0.0, 0.0])
+        assert dual_norm_profile(s, WeightSpec(1, (5e-324,))) == [1.0, 1.0, 1.0]
 
 
 class TestDualWeight:
@@ -183,6 +216,8 @@ class TestEvalSequenceNorm:
         assert eval_sequence_norm_partial((1e150, 0.0), WeightSpec(2, (1.0, 1.0)), 3) == math.inf
         assert eval_sequence_norm_partial((1e200, 0.0), WeightSpec(1, (1.0, 1.0)), 3) == math.inf
         assert eval_sequence_norm_partial((1e200,), WeightSpec(2, (1.0,)), 0) == 1.0
+        # |x_1| / c_1 = 1e450 is inf, beside a zero coordinate
+        assert eval_sequence_norm_partial((1e300, 0.0), WeightSpec(2, (1e-300, 1.0)), 2) == math.inf
 
 
 class TestEvaluationContinuity:
@@ -284,3 +319,66 @@ class TestScalingNormIdentity:
                     axis_scale(g, tuple(1.0 / c for c in scale)) - f, w
                 ) ** pf
                 assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs), 1.0)
+
+
+# Both norms against a 50-digit mpmath reference, over magnitudes 1e-300..1e300
+# and weights 1e-3..1e3: within 1e-12 relative, inf where the reference is
+# beyond the float range, and within a few units of 2^-1074 where it is a
+# subnormal float.
+MAGNITUDES = st.builds(lambda u, sign: sign * 10.0**u, st.floats(-300, 300),
+                       st.sampled_from((1.0, -1.0)))
+WEIGHTS = st.lists(st.floats(-3, 3).map(lambda u: 10.0**u), min_size=3, max_size=3)
+
+
+def mp_lp(mp, values, exponents, c, sign, e):
+    """The l^e norm of (|v_a| c^(sign a))_a at the working precision."""
+    mags = [abs(mp.mpf(v)) * mp.fprod(ci ** (sign * a) for ci, a in zip(c, alpha))
+            for v, alpha in zip(values, exponents)]
+    if e == math.inf:
+        return max(mags, default=mp.mpf(0))
+    e = mp.mpf(e.numerator) / e.denominator
+    return mp.fsum(m**e for m in mags) ** (1 / e)
+
+
+def mp_halfwidths(mp, r, p):
+    if p == math.inf:
+        return [mp.mpf(v) for v in r]
+    return [mp.mpf(v) ** (mp.mpf(p.denominator) / p.numerator) for v in r]
+
+
+def assert_matches_reference(got, ref, count):
+    if ref > sys.float_info.max:
+        assert got == math.inf
+    else:
+        assert abs(got - ref) <= 1e-12 * ref + (count + 1) * 5e-324, (got, ref)
+
+
+class TestNormsAgainstMpmath:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 3), st.data(), WEIGHTS, st.sampled_from(P_GRID))
+    def test_weighted_norm(self, n, data, r, p):
+        mp = pytest.importorskip("mpmath")
+        exponent = st.tuples(*[st.integers(0, 3)] * n)
+        f = Polynomial(n, data.draw(st.dictionaries(exponent, MAGNITUDES, max_size=8)))
+        w = WeightSpec(p, r[:n])
+        with mp.workdps(50):
+            c = mp_halfwidths(mp, w.r, w.p)
+            ref = mp_lp(mp, f.coefs.tolist(), f.exponents.tolist(), c, 1, w.p)
+            assert_matches_reference(weighted_norm(f, w), ref, len(f.coefs))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 2), st.integers(0, 4), st.data(), WEIGHTS, st.sampled_from(P_GRID))
+    def test_dual_norm_profile(self, n, degree, data, r, p):
+        mp = pytest.importorskip("mpmath")
+        size = math.comb(n + degree, n)
+        entries = st.one_of(st.just(0.0), MAGNITUDES)
+        vector = data.draw(st.lists(entries, min_size=size, max_size=size))
+        w = WeightSpec(p, r[:n])
+        profile = dual_norm_profile(MomentSequence(n, degree, vector), w)
+        basis = list(iter_simplex(n, degree))
+        with mp.workdps(50):
+            c = mp_halfwidths(mp, w.r, w.p)
+            for d, got in enumerate(profile):
+                count = math.comb(n + d, n)
+                ref = mp_lp(mp, vector[:count], basis[:count], c, -1, conjugate_exponent(w.p))
+                assert_matches_reference(got, ref, count)
