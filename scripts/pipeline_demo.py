@@ -3,8 +3,9 @@
 
 A point mass at x = 2 has moments 2^k.  Against the weight r = 2 the dual
 sup stays at 1 (the summability hypothesis holds) and the measure comes back
-on [-2, 2]; against r = 1 the sup doubles with every degree and recovery on
-[-1, 1] cannot reproduce the moments.
+on [-2, 2], read off the flat moment matrix; against r = 1 the sup doubles
+with every degree, the flat atom lies outside [-1, 1], and the grid solve
+there cannot reproduce the moments.
 """
 
 from momentcone import (
@@ -31,8 +32,8 @@ def run(weight: WeightSpec, grid: int) -> None:
     print(f"  dual-norm profile by degree: {[round(v, 6) for v in profile]}")
     print(f"  hypothesis growing: {growing}, psd: {psd}")
     print(
-        f"  recovery: success={recovery.success} residual={recovery.residual:.3g} "
-        f"atoms={recovery.measure.atoms}"
+        f"  recovery: success={recovery.success} method={recovery.method} "
+        f"residual={recovery.residual:.3g} atoms={recovery.measure.atoms}"
     )
 
 

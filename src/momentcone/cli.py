@@ -17,6 +17,7 @@ import functools
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .approx import box_sos_approx, coefficientwise_report
@@ -40,41 +41,50 @@ from .norms import WeightSpec, eval_sequence_norm, weighted_norm
 from .polyring import poly_from_dict, poly_to_dict
 
 
+_SPECIAL_FLOATS = {"inf": '"+inf"', "-inf": '"-inf"', "nan": '"nan"'}
+
+
+def _render_scalar(value) -> str:
+    if isinstance(value, float):
+        text = format(value, ".17g")
+        return _SPECIAL_FLOATS.get(text, text)
+    if isinstance(value, bool) or value is None:
+        return json.dumps(value)
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, str):
+        return json.dumps(value)
+    raise TypeError(f"cannot render {type(value)!r}")
+
+
 def render_json(obj) -> str:
     """Deterministic JSON with floats at 17 significant digits.
 
     Infinite values become the strings "+inf"/"-inf" since JSON has no
-    number for them.
+    number for them.  A list of scalars is rendered in one join; keys are
+    quoted by the function json.dumps uses for a string.
     """
 
     def emit(value, indent: int) -> str:
-        pad = "  " * indent
-        inner = "  " * (indent + 1)
         if isinstance(value, dict):
             if not value:
                 return "{}"
+            inner = "  " * (indent + 1)
             body = ",\n".join(
-                f"{inner}{json.dumps(str(k))}: {emit(v, indent + 1)}" for k, v in value.items()
+                f"{inner}{encode_basestring_ascii(str(k))}: {emit(v, indent + 1)}"
+                for k, v in value.items()
             )
-            return "{\n" + body + "\n" + pad + "}"
+            return "{\n" + body + "\n" + "  " * indent + "}"
         if isinstance(value, (list, tuple)):
             if not value:
                 return "[]"
-            body = ",\n".join(f"{inner}{emit(v, indent + 1)}" for v in value)
-            return "[\n" + body + "\n" + pad + "]"
-        if isinstance(value, bool) or value is None:
-            return json.dumps(value)
-        if isinstance(value, int):
-            return str(value)
-        if isinstance(value, float):
-            if math.isinf(value):
-                return '"+inf"' if value > 0 else '"-inf"'
-            if math.isnan(value):
-                return '"nan"'
-            return format(value, ".17g")
-        if isinstance(value, str):
-            return json.dumps(value)
-        raise TypeError(f"cannot render {type(value)!r}")
+            inner = "  " * (indent + 1)
+            try:
+                items = [_render_scalar(v) for v in value]
+            except TypeError:  # a nested container: render item by item
+                items = [emit(v, indent + 1) for v in value]
+            return "[\n" + inner + (",\n" + inner).join(items) + "\n" + "  " * indent + "]"
+        return _render_scalar(value)
 
     return emit(obj, 0) + "\n"
 
@@ -125,11 +135,12 @@ def _psd_report(s, d: int | None, tol: float | None) -> dict:
 
 
 def _recovery_report(s, w: WeightSpec, grid: int, tol: float):
-    """Recovery on the box of w, shared by recover-measure and pipeline:
-    the result and its atoms, weights, residual and box."""
+    """Recovery on the box of w, shared by recover-measure and pipeline: the
+    result and its method ("flat" or "grid"), atoms, weights, residual and box."""
     box = box_from_weight(w)
     result = recover_measure(s, box, grid, tol=tol)
     return result, {
+        "method": result.method,
         **measure_to_dict(result.measure),
         "residual": result.residual,
         "box": {"lower": list(box.lower), "upper": list(box.upper)},

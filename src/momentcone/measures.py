@@ -1,11 +1,15 @@
-"""Atomic measures on boxes: moment generation and grid-based recovery.
+"""Atomic measures on boxes: moment generation and recovery.
 
-Recovery matches a truncated moment vector by nonnegative weights on a
-uniform grid inside the box, solved exactly by the Lawson-Hanson active-set
-method; by Caratheodory's theorem the answer needs no more atoms than there
-are moments.  At desk scale that is enough to exhibit a representing measure
-whenever one with atoms on the grid exists.  The box itself is derived from
-the weight vector.
+Recovery first tries the flat extension theorem of Curto & Fialkow: when the
+moment matrix M_d has the rank r of its degree-(d-1) block, the moments have
+exactly one representing measure, with r atoms, and the algorithm of Henrion
+& Lasserre (2005, used in GloptiPoly) reads those atoms off a factor of M_d.
+Moments that are not flat (Lebesgue moments, say), or whose atoms leave the
+box, are matched instead by nonnegative weights on a uniform grid inside the
+box, solved exactly by the Lawson-Hanson active-set method; by Caratheodory's
+theorem that answer needs no more atoms than there are moments, and at desk
+scale it exhibits a representing measure whenever one with atoms on the grid
+exists.  The box itself is derived from the weight vector.
 """
 
 from __future__ import annotations
@@ -16,12 +20,16 @@ from typing import Mapping
 
 import numpy as np
 
-from .moments import MomentSequence
+from .moments import MomentSequence, moment_matrix
 from .norms import WeightSpec
-from .polyring import MultiIndex, monomial_values, simplex_index
+from .polyring import MultiIndex, grlex_rank, monomial_values, simplex_index, simplex_size
 
 # Recovered grid weights at or below this threshold are treated as absent.
 SUPPORT_THRESHOLD = 1e-10
+# Eigenvalues of M_d at or below this fraction of its largest one count as zero.
+_RANK_TOL = 1e-9
+# Extracted unit-box coordinates at most this far outside [-1, 1] go onto the face.
+_FACE_SNAP = 1e-12
 
 
 @dataclass(frozen=True)
@@ -126,7 +134,8 @@ class RecoveryResult:
     measure: AtomicMeasure
     residual: float
     success: bool
-    iterations: int
+    iterations: int  # active-set steps of the grid solve, 0 on the flat path
+    method: str  # "flat" | "grid"
 
 
 def grid_points(box: BoxSpec, grid_m: int) -> np.ndarray:
@@ -173,50 +182,133 @@ def _nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
     return x, steps
 
 
+def _independent_rows(v: np.ndarray, r: int) -> np.ndarray:
+    """r rows of v by Gram-Schmidt with pivoting: each step takes the row of
+    largest residual norm and removes its direction from every row."""
+    residual = np.array(v, dtype=float)
+    rows = np.empty(r, dtype=np.int64)
+    for k in range(r):
+        norms = np.einsum("ij,ij->i", residual, residual)
+        rows[k] = j = int(np.argmax(norms))
+        q = residual[j] / math.sqrt(norms[j])
+        residual -= np.outer(residual @ q, q)
+    return rows
+
+
+def _flat_measure(s_unit: MomentSequence) -> tuple[np.ndarray, np.ndarray] | None:
+    """Atoms (rows, in [-1, 1]^n) and positive weights read off flat moments, or None.
+
+    With d = max_degree // 2 the moments are flat when rank M_{d-1} = rank M_d
+    = r.  The extraction of Henrion & Lasserre: factor M_d = V V^T from its
+    eigenpairs and pick r independent rows B of V of degree <= d - 1.  Every
+    atom's monomial vector is then U w, where U = V V[B]^-1 and w holds its
+    monomials x^B, so multiplying w by X_i is the matrix N_i = U[B + e_i].  The
+    w of each atom is a common eigenvector of the N_i, taken from one fixed
+    generic combination of them, and its coordinates are Rayleigh quotients.
+    The weights fit every moment by least squares.  None when the moments are
+    not flat, an eigenvector is complex, a coordinate lies more than
+    _FACE_SNAP outside [-1, 1] or a weight is not positive.
+    """
+    n, d = s_unit.n, s_unit.max_degree // 2
+    if d < 1:
+        return None
+    matrix = moment_matrix(s_unit, d)
+    values, vectors = np.linalg.eigh(matrix)
+    floor = _RANK_TOL * values[-1]
+    if not floor > 0.0 or values[0] < -floor:  # the M_d of a measure is PSD and nonzero
+        return None
+    keep = values > floor
+    r = int(np.count_nonzero(keep))
+    low = simplex_size(n, d - 1)
+    if np.count_nonzero(np.linalg.eigvalsh(matrix[:low, :low]) > floor) != r:
+        return None
+    v = vectors[:, keep] * np.sqrt(values[keep])
+    basis = _independent_rows(v[:low], r)
+    u = np.linalg.solve(v[basis].T, v.T).T
+    if not np.isfinite(u).all():
+        return None
+    exponents = simplex_index(n, d).exponents[basis]
+    mult = u[grlex_rank(exponents[:, None, :] + np.eye(n, dtype=np.int64))]  # [b, i] = N_i[b]
+    # cos 1, ..., cos n: no integer combination of them vanishes (e^i is
+    # transcendental), so atoms on a lattice get distinct eigenvalues
+    generic = np.cos(np.arange(1.0, n + 1.0))
+    _, w = np.linalg.eig(mult.transpose(0, 2, 1) @ generic)
+    if np.iscomplexobj(w):
+        return None
+    atoms = np.einsum("bj,bic,cj->ji", w, mult, w) / np.einsum("bj,bj->j", w, w)[:, None]
+    if not (np.abs(atoms) <= 1.0 + _FACE_SNAP).all():
+        return None
+    atoms = np.clip(atoms, -1.0, 1.0)
+    vander = monomial_values(atoms, simplex_index(n, s_unit.max_degree).exponents)
+    weights = np.linalg.lstsq(vander.T, s_unit.vector, rcond=None)[0]
+    if not (weights > 0.0).all():
+        return None
+    return atoms, weights
+
+
+def _result(
+    s: MomentSequence, atoms, weights, tol: float, iterations: int, method: str
+) -> RecoveryResult:
+    """The recovery of the given atoms and weights, with the residual of its moments."""
+    measure = AtomicMeasure(tuple(tuple(p) for p in atoms), tuple(weights))
+    integrals = np.array(_integrate_simplex(measure, s.n, s.max_degree))
+    residual = float(np.linalg.norm(integrals - s.vector))
+    return RecoveryResult(measure, residual, residual <= tol, iterations, method)
+
+
 def recover_measure(
     s: MomentSequence,
     box: BoxSpec,
     grid_m: int,
     tol: float = 1e-6,
 ) -> RecoveryResult:
-    """Search for an atomic measure on a uniform box grid matching s.
+    """Search for an atomic measure on the box matching s.
 
-    Solves min ||A w - s||_2 over w >= 0 where the columns of A are the
-    monomial vectors of the grid atoms, by active-set steps (counted in
-    `iterations`) that end on the KKT conditions.  Keeps the support with
-    weight above SUPPORT_THRESHOLD, at most len(s.vector) atoms, and reports
-    the residual ||moments_of_measure(measure) - s||_2 of the returned
-    measure (||s||_2 when no atom is kept; verify_representation checks such a
-    result, moments_of_measure cannot).  Failure (residual above tol) signals
-    a too-small box, too-coarse grid, or moments that no measure on the box
+    Both paths work on the box rescaled to the unit cube (moments pick up a
+    factor c^-alpha), which keeps the monomial columns well conditioned on
+    wide boxes, and both report the residual ||moments_of_measure(measure) -
+    s||_2 of the returned measure in the original, unscaled metric.
+
+    The flat path (method "flat", 0 iterations) reads the atoms off M_d when
+    the moments are flat (see _flat_measure).  Its answer is returned only when
+    every atom lies in the box, every weight is positive and the residual is
+    at most tol.  Otherwise the grid path (method "grid") solves
+    min ||A w - s||_2 over w >= 0, where the columns of A are the monomial
+    vectors of a uniform grid of grid_m points per axis, by active-set steps
+    (counted in `iterations`) that end on the KKT conditions.  It keeps the
+    support with weight above SUPPORT_THRESHOLD, at most len(s.vector) atoms,
+    mapped back onto the original grid by index; with no atom kept the
+    residual is ||s||_2 (verify_representation checks such a result,
+    moments_of_measure cannot).  Failure (residual above tol) signals a
+    too-small box, too-coarse grid, or moments that no measure on the box
     can produce.
-
-    Internally the box is rescaled to the unit cube (moments pick up a factor
-    c^-alpha), which keeps the monomial columns well conditioned on wide
-    boxes; atoms map back onto the original grid by index, and the reported
-    residual is in the original, unscaled metric.
     """
     if box.n != s.n:
         raise ValueError(f"dimension mismatch: box has n={box.n}, moments have n={s.n}")
     if grid_m < 2:
         raise ValueError("need at least 2 grid points per axis")
+    exponents = simplex_index(s.n, s.max_degree).exponents
+    b_unit = s.vector / monomial_values([box.upper], exponents)[0]
+    flat = None
+    if np.isfinite(b_unit).all():  # c^-alpha can overflow on a small box
+        try:
+            flat = _flat_measure(MomentSequence(s.n, s.max_degree, b_unit))
+        except np.linalg.LinAlgError:  # a singular pivot block, or eig did not converge
+            pass
+    if flat is not None:
+        result = _result(s, flat[0] * np.array(box.upper), flat[1], tol, 0, "flat")
+        if result.success:
+            return result
+
     points = grid_points(box, grid_m)
     unit_points = grid_points(BoxSpec.from_halfwidths((1.0,) * s.n), grid_m)
-    exponents = simplex_index(s.n, s.max_degree).exponents
     a_unit = monomial_values(unit_points, exponents).T
-    b = s.vector
-    b_unit = b / monomial_values([box.upper], exponents)[0]
-
     col_scale = np.linalg.norm(a_unit, axis=0)
     col_scale[col_scale == 0.0] = 1.0
     y, iterations = _nnls(a_unit / col_scale, b_unit)
     weights = y / col_scale
-
     mask = weights > SUPPORT_THRESHOLD
-    measure = AtomicMeasure(tuple(tuple(p) for p in points[mask]), tuple(weights[mask]))
-    integrals = np.array(_integrate_simplex(measure, s.n, s.max_degree))
-    residual = float(np.linalg.norm(integrals - b))
-    return RecoveryResult(measure, residual, residual <= tol, iterations)
+    return _result(s, points[mask], weights[mask], tol, iterations, "grid")
 
 
 @dataclass(frozen=True)

@@ -76,6 +76,23 @@ class TestRenderJson:
         payload = {"xs": [1.5, 2.5], "flag": True, "name": "run"}
         assert render_json(payload) == render_json(payload)
 
+    def test_scalar_and_nested_lists(self):
+        payload = {
+            "xs": [0.1, math.inf, -math.inf, math.nan, 2, True, None, "a"],
+            "ys": [[1], {"k": []}, 3.0],
+            "z": {},
+        }
+        assert render_json(payload) == (
+            '{\n  "xs": [\n    0.10000000000000001,\n    "+inf",\n    "-inf",\n'
+            '    "nan",\n    2,\n    true,\n    null,\n    "a"\n  ],\n'
+            '  "ys": [\n    [\n      1\n    ],\n    {\n      "k": []\n    },\n    3\n  ],\n'
+            '  "z": {}\n}\n'
+        )
+
+    def test_unknown_type_rejected(self):
+        with pytest.raises(TypeError, match="cannot render"):
+            render_json({"xs": [1.0, object()]})
+
 
 class TestNormCommand:
     def test_single_term(self, workdir, capsys):
@@ -425,6 +442,27 @@ class TestRecoverMeasureCommand:
         assert code == 2
 
 
+    def test_flat_moments_report_flat_method(self, workdir, capsys):
+        argv = ["recover-measure", "--moments", workdir["delta_half"], "--p", "2", "--r", "1"]
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["method"] == "flat"
+        assert report["iterations"] == 0
+        assert report["atoms"] == [[pytest.approx(0.5, abs=1e-15)]]
+
+    def test_point_mass_outside_box_falls_through_to_grid(self, tmp_path, capsys):
+        # flat moments of a point mass at 2, against the box [-1, 1] of r = 1
+        s = moments_of_measure(AtomicMeasure(((2.0,),), (1.3,)), 6)
+        path = tmp_path / "delta_two.json"
+        path.write_text(json.dumps(moments_to_dict(s)))
+        argv = ["recover-measure", "--moments", str(path), "--p", "1", "--r", "1", "--grid", "41"]
+        assert main(argv) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["success"] is False
+        assert report["method"] == "grid"
+        assert all(abs(x) <= 1.0 for atom in report["atoms"] for x in atom)
+
+
 class TestPipelineCommand:
     def test_full_chain_passes(self, workdir, capsys):
         code = main(
@@ -456,6 +494,7 @@ class TestPipelineCommand:
         assert report["hypothesis"]["growing"] is True
         assert report["hypothesis"]["pass"] is False
         assert report["recovery"]["pass"] is False
+        assert report["recovery"]["method"] == "grid"
 
 
     def test_blocks_match_psd_check_and_recover_measure(self, workdir, capsys):
@@ -468,7 +507,7 @@ class TestPipelineCommand:
         recovery = json.loads(capsys.readouterr().out)
         assert report["psd"] == {k: psd[k] for k in ("d", "min_eigenvalue", "pass")}
         assert report["recovery"] == {
-            **{k: recovery[k] for k in ("atoms", "weights", "residual", "box")},
+            **{k: recovery[k] for k in ("method", "atoms", "weights", "residual", "box")},
             "pass": recovery["success"],
         }
 

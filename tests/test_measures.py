@@ -26,7 +26,7 @@ from momentcone import (
     recover_measure,
     verify_representation,
 )
-from momentcone.measures import _nnls
+from momentcone.measures import _nnls, grid_points
 from conftest import random_sparse_poly
 
 UNIT_BOX = BoxSpec((-1.0,), (1.0,))
@@ -185,14 +185,29 @@ class TestRecoverMeasure:
         assert len(result.measure.atoms) <= 7
 
     def test_three_grid_atoms_recovered_exactly(self):
-        # the fixed recovery slot of the benchmark's recover deck
+        # the fixed recovery slot of the benchmark's recover deck: its moments
+        # are flat, so the atoms come back to round-off, not by grid index
         axis = np.linspace(-1.0, 1.0, 41)
         atoms = tuple((float(axis[k]),) for k in (25, 19, 38))
         mu = AtomicMeasure(atoms, (0.523, 1.602, 1.279))
         result = recover_measure(moments_of_measure(mu, 6), UNIT_BOX, 41)
         assert result.success
-        assert result.measure.atoms == mu.atoms
-        assert result.measure.weights == pytest.approx(mu.weights, rel=1e-9)
+        assert result.method == "flat"
+        assert result.iterations == 0
+        assert np.abs(np.subtract(result.measure.atoms, mu.atoms)).max() <= 1e-12
+        assert result.measure.weights == pytest.approx(mu.weights, rel=1e-12)
+        assert result.residual <= 1e-12
+
+    def test_lebesgue_atoms_are_grid_points(self):
+        # Lebesgue moments are not flat (rank M_3 = 4 > rank M_2 = 3): the grid
+        # solve answers, with atoms taken from the grid by index
+        s = MomentSequence(1, 6, [2.0 / (k + 1) if k % 2 == 0 else 0.0 for k in range(7)])
+        result = recover_measure(s, UNIT_BOX, 41)
+        assert result.success
+        assert result.method == "grid"
+        assert result.iterations > 0
+        grid = {tuple(row) for row in grid_points(UNIT_BOX, 41).tolist()}
+        assert all(atom in grid for atom in result.measure.atoms)
 
     def test_round_trip_on_grid(self, rng):
         for _ in range(10):
@@ -244,6 +259,94 @@ class TestRecoverMeasure:
         report = verify_representation(s, result.measure)
         assert report.max_residual == 1.0
         assert report.passed is False
+
+
+@st.composite
+def separated_measures(draw):
+    """An r-atomic measure whose moments of degree 2d are flat: r <= d atoms in
+    1-D, r <= 3 in 2-D, on distinct cells of a 0.2 lattice strictly inside the
+    box, each moved by at most 0.05 (halfwidth units)."""
+    n = draw(st.integers(1, 2))
+    d = draw(st.integers(2, 3))
+    r = draw(st.integers(1, d if n == 1 else 3))
+    cells = draw(st.lists(st.tuples(*[st.integers(-4, 4)] * n), min_size=r, max_size=r,
+                          unique=True))
+    shifts = draw(st.lists(st.tuples(*[st.floats(-0.05, 0.05)] * n), min_size=r, max_size=r))
+    halfwidths = draw(st.tuples(*[st.floats(0.5, 2.0)] * n))
+    weights = draw(st.lists(st.floats(0.1, 2.0), min_size=r, max_size=r))
+    atoms = tuple(
+        tuple((0.2 * k + e) * c for k, e, c in zip(cell, shift, halfwidths))
+        for cell, shift in zip(cells, shifts)
+    )
+    return AtomicMeasure(atoms, tuple(weights)), BoxSpec.from_halfwidths(halfwidths), 2 * d
+
+
+class TestFlatRecovery:
+    @settings(max_examples=150, deadline=None)
+    @given(separated_measures())
+    def test_separated_atoms_recovered(self, case):
+        mu, box, degree = case
+        s = moments_of_measure(mu, degree)
+        result = recover_measure(s, box, 11)
+        assert result.method == "flat" and result.success
+        assert len(result.measure.atoms) == len(mu.atoms)
+        for atom, weight in zip(mu.atoms, mu.weights):
+            gaps = np.abs(np.subtract(result.measure.atoms, atom)).max(axis=1)
+            k = int(np.argmin(gaps))
+            assert gaps[k] <= 1e-9
+            assert abs(result.measure.weights[k] - weight) <= 1e-9 * weight
+        assert recover_measure(s, box, 11) == result
+
+    @pytest.mark.parametrize(
+        "halfwidths, atoms",
+        [
+            ((1.0,), ((-1.0,), (1.0,))),
+            ((1.7,), ((-1.7,), (0.3,), (1.7,))),
+            ((0.8, 1.3), ((-0.8, -1.3), (0.8, 1.3), (0.8, -1.3))),
+            ((1.5, 0.6), ((1.5, 0.2), (-0.5, -0.6))),
+        ],
+    )
+    def test_atoms_on_box_faces_stay_in_box(self, halfwidths, atoms):
+        box = BoxSpec.from_halfwidths(halfwidths)
+        mu = AtomicMeasure(atoms, tuple(0.5 + k for k in range(len(atoms))))
+        result = recover_measure(moments_of_measure(mu, 6), box, 21)
+        assert result.method == "flat" and result.success
+        assert all(box.contains(p) for p in result.measure.atoms)
+        gap = np.abs(np.subtract(result.measure.atoms, mu.atoms)) / np.array(halfwidths)
+        assert gap.max() <= 1e-12
+
+    def test_point_mass_outside_box_falls_through_to_grid(self):
+        # flat with one atom at 2, outside [-1, 1]: the grid answers, and fails
+        s = moments_of_measure(AtomicMeasure(((2.0,),), (0.8,)), 6)
+        result = recover_measure(s, UNIT_BOX, 41)
+        assert result.method == "grid"
+        assert not result.success
+        assert all(UNIT_BOX.contains(p) for p in result.measure.atoms)
+
+    def test_off_grid_atoms_in_two_variables(self):
+        # atoms off the grid of 21 points per axis, and on the faces of [-1.5, 1.5]^2
+        atoms = ((0.5, -0.25), (1.0, 1.0), (-1.0, 0.5))
+        mu = AtomicMeasure(atoms, (0.7, 1.3, 0.4))
+        s = moments_of_measure(mu, 4)
+        result = recover_measure(s, BoxSpec.from_halfwidths((1.5, 1.5)), 21)
+        assert result.method == "flat" and result.success
+        assert result.residual < 1e-12
+        assert np.abs(np.subtract(result.measure.atoms, mu.atoms)).max() <= 1e-12
+
+    def test_failed_eigensolve_takes_the_grid(self, monkeypatch):
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eig", fail)
+        s = moments_of_measure(AtomicMeasure(((0.5,),), (1.0,)), 6)
+        result = recover_measure(s, UNIT_BOX, 101)
+        assert result.method == "grid"
+        assert result.success
+
+    def test_non_psd_moments_take_the_grid(self):
+        result = recover_measure(INDEFINITE, UNIT_BOX, 41)
+        assert result.method == "grid"
+        assert not result.success
 
 
 class TestConsistencyWithPsdChecks:

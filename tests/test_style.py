@@ -1,8 +1,9 @@
 """Style checks over src/, tests/ and scripts/: every imported name is used
 (package __init__ re-exports and __future__ imports are exempt), no line is
 longer than 100 characters, no module under src/ imports a private
-(underscore) name from another module of the package, and no module under
-src/ but polyring reads a polynomial's terms map or calls object.__new__."""
+(underscore) name from another module of the package or imports scipy, and
+no module under src/ but polyring reads a polynomial's terms map or calls
+object.__new__."""
 
 import ast
 from pathlib import Path
@@ -95,3 +96,37 @@ def test_polynomials_read_through_their_arrays_outside_polyring():
         for item in dict_form_reads(path)
     ]
     assert not found, "dict-form reads under src/:\n" + "\n".join(found)
+
+
+def scipy_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules = [
+        (alias.name, node.lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+    ]
+    modules += [
+        (node.module, node.lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module
+    ]
+    return [f"{name} (line {line})" for name, line in modules if name.split(".")[0] == "scipy"]
+
+
+def test_scipy_imports_found(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import scipy.linalg\nfrom scipy import optimize\nimport scipyish\n")
+    assert scipy_imports(probe) == ["scipy.linalg (line 1)", "scipy (line 2)"]
+
+
+def test_no_scipy_under_src():
+    # numpy is the only runtime dependency; importing scipy.linalg alone took
+    # about 0.3 s on a 2-core machine, added to every CLI start-up
+    found = [
+        f"{path.relative_to(ROOT)}: {item}"
+        for path in FILES
+        if path.is_relative_to(ROOT / "src")
+        for item in scipy_imports(path)
+    ]
+    assert not found, "scipy imports under src/:\n" + "\n".join(found)
