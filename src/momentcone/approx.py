@@ -321,8 +321,8 @@ class BoxApproxResult:
     eps: float
     certificate: SosCertificate | None = None
     factors: tuple[Polynomial, ...] = ()  # rescaled back to the original axes
-    distance: float = math.inf  # ||f - sum factors^2||_{p,r}, computed as unit_distance
-    unit_distance: float = math.inf  # the same gap in the unweighted lp norm on the unit box
+    # ||f - sum factors^2||_{p,r}, computed as the unweighted lp norm of the gap on the unit box
+    distance: float = math.inf
     depth: int = 0
     witness: tuple[float, ...] | None = None
     witness_value: float | None = None
@@ -508,10 +508,10 @@ def box_sos_approx(
     A point of the box where f < -1e-9 (screen_box_nonnegativity) ends the
     run as "negative-on-box".  Otherwise it rescales the box of w to the unit
     cube, perturbs by eps times the even series tail (depth D = 2..d_max),
-    certifies the candidate, and maps the factors back.  Both distances are
-    the unweighted lp norm of the one gap f_unit - square_sum: the diagonal
-    isometry from the box of w to the unit cube makes the ||.||_{p,r} norm
-    of the gap mapped back to the box of w equal to it.
+    certifies the candidate, and maps the factors back.  The distance is the
+    unweighted lp norm of the gap f_unit - square_sum: the diagonal isometry
+    from the box of w to the unit cube makes the ||.||_{p,r} norm of the gap
+    mapped back to the box of w equal to it.
 
     Success needs f_unit + eps * theta_D to be a sum of squares on all of
     R^n, where theta_D = square_perturbation(n, D) <= exp(sum_i X_i^2).  If f
@@ -547,9 +547,7 @@ def box_sos_approx(
         if certificate.success:
             factors = tuple(axis_scale(h, inverse) for h in certificate.factors)
             distance = weighted_norm(poly_sub(f_unit, certificate.square_sum), unit_weight)
-            return BoxApproxResult(
-                "certified", eps, certificate, factors, distance, distance, depth
-            )
+            return BoxApproxResult("certified", eps, certificate, factors, distance, depth)
     return BoxApproxResult("inconclusive", eps, certificate=last_certificate)
 
 

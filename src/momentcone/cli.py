@@ -224,7 +224,6 @@ def _cmd_sos_approx(args) -> tuple[str, bool]:
         "gram_mineig": result.certificate.gram_min_eig if result.certificate else None,
         "residual": result.certificate.residual if result.certificate else None,
         "distance": result.distance,
-        "unit_distance": result.unit_distance,
         "witness": list(result.witness) if result.witness is not None else None,
         "witness_value": result.witness_value,
     }

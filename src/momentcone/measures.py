@@ -22,7 +22,14 @@ import numpy as np
 
 from .moments import MomentSequence, moment_matrix
 from .norms import WeightSpec
-from .polyring import MultiIndex, grlex_rank, monomial_values, simplex_index, simplex_size
+from .polyring import (
+    MultiIndex,
+    grlex_rank,
+    monomial_values,
+    shift_table,
+    simplex_index,
+    simplex_size,
+)
 
 # Recovered grid weights at or below this threshold are treated as absent.
 SUPPORT_THRESHOLD = 1e-10
@@ -227,8 +234,8 @@ def _flat_measure(s_unit: MomentSequence) -> tuple[np.ndarray, np.ndarray] | Non
     u = np.linalg.solve(v[basis].T, v.T).T
     if not np.isfinite(u).all():
         return None
-    exponents = simplex_index(n, d).exponents[basis]
-    mult = u[grlex_rank(exponents[:, None, :] + np.eye(n, dtype=np.int64))]  # [b, i] = N_i[b]
+    steps = grlex_rank(np.eye(n, dtype=np.int64))  # the ranks of e_1, ..., e_n
+    mult = u[shift_table(n, d - 1, 1)[steps][:, basis].T]  # [b, i] = N_i[b]
     # cos 1, ..., cos n: no integer combination of them vanishes (e^i is
     # transcendental), so atoms on a lattice get distinct eigenvalues
     generic = np.cos(np.arange(1.0, n + 1.0))

@@ -4,8 +4,12 @@ A linear functional on polynomials is stored through its monomial values
 s(alpha) on the full simplex |alpha| <= max_degree: one read-only vector in
 graded-lex order, s(alpha) at grlex_rank(alpha).  The moments of degree <= D
 are therefore the first simplex_size(n, D) entries.
-(Localized) moment matrices are read-only numpy arrays gathered from that
-vector, with rows and columns indexed by simplex_index(n, d).basis.
+(Localized) moment matrices are read-only numpy arrays with rows and columns
+indexed by simplex_index(n, d).basis, each one gather through the cached
+Hankel table H = simplex_index(n, d).hankel(): M_d = s[H], and the localized
+matrix is (g.s)[H] for the shifted sequence (g.s)(a) = sum_c g_c s(a + c) over
+the degree-2d simplex, whose term c reads row rank(c) of a cached shift_table.
+No call ranks an exponent table of its own.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from .polyring import (
     grlex_rank,
     grlex_sort,
     integer_field,
+    shift_table,
     simplex_index,
     simplex_size,
 )
@@ -123,7 +128,8 @@ def moment_matrix(s: MomentSequence, d: int) -> np.ndarray:
 
 
 def localized_moment_matrix(s: MomentSequence, g: Polynomial, d: int) -> np.ndarray:
-    """The read-only matrix M[a, b] = sum_c g_c s(a + b + c), realizing l(h^2 g)."""
+    """The read-only matrix M[a, b] = sum_c g_c s(a + b + c), realizing l(h^2 g):
+    (g.s)[H] for the shifted sequence (g.s)(a) = sum_c g_c s(a + c), |a| <= 2d."""
     if g.n != s.n:
         raise ValueError(f"dimension mismatch: {g.n} vs {s.n}")
     if d < 0:
@@ -131,10 +137,11 @@ def localized_moment_matrix(s: MomentSequence, g: Polynomial, d: int) -> np.ndar
     need = 2 * d + max(g.degree, 0)
     if need > s.max_degree:
         raise ValueError(f"insufficient moments: need degree {need}, have {s.max_degree}")
-    idx = simplex_index(s.n, d)
-    entries = np.zeros((len(idx.basis),) * 2)
-    for gamma, coef in zip(g.exponents, g.coefs.tolist()):
-        entries += coef * s.vector[idx.hankel(gamma)]
+    shifts = shift_table(s.n, 2 * d, max(g.degree, 0))
+    shifted = np.zeros(simplex_size(s.n, 2 * d))  # (g.s)(a), summed in g's stored order
+    for rank, coef in zip(grlex_rank(g.exponents).tolist(), g.coefs.tolist()):
+        shifted += coef * s.vector[shifts[rank]]
+    entries = shifted[simplex_index(s.n, d).hankel()]
     entries.setflags(write=False)
     return entries
 

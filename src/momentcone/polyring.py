@@ -75,22 +75,34 @@ def grlex_rank(alpha) -> np.ndarray:
 
 class SimplexIndex:
     """The graded-lex basis |alpha| <= degree in n variables: ``exponents[i]``
-    is ``basis[i]``, and ``hankel(shift)[i, j]`` is the rank of ``basis[i] +
-    basis[j] + shift``, so one gather makes a (localized) moment matrix."""
+    is ``basis[i]``, and ``hankel()`` is the read-only Hankel table H, H[i, j]
+    the rank of ``basis[i] + basis[j]``, so that s[H] is a moment matrix.  H is
+    shift_table(n, degree, degree), built on the first call and shared."""
 
     def __init__(self, n: int, degree: int) -> None:
+        self.n, self.degree = n, degree
         self.basis: tuple[MultiIndex, ...] = tuple(iter_simplex(n, degree))
         self.exponents = np.array(self.basis, dtype=np.int64).reshape(-1, n)
         self.exponents.setflags(write=False)
 
-    def hankel(self, shift: MultiIndex | int = 0) -> np.ndarray:
-        return grlex_rank(self.exponents[:, None, :] + self.exponents[None, :, :] + shift)
+    def hankel(self) -> np.ndarray:
+        return shift_table(self.n, self.degree, self.degree)
 
 
 @functools.lru_cache(maxsize=64)
 def simplex_index(n: int, degree: int) -> SimplexIndex:
     """The shared SimplexIndex of (n, degree)."""
     return SimplexIndex(n, degree)
+
+
+@functools.lru_cache(maxsize=128)
+def shift_table(n: int, degree: int, shift_degree: int) -> np.ndarray:
+    """The read-only rank table T[rank(c), rank(a)] = rank(a + c) for |a| <=
+    degree and |c| <= shift_degree: row rank(c) of T gathers the sequence
+    a -> s(a + c) over the degree simplex from a moment vector s."""
+    shifts = simplex_index(n, shift_degree).exponents
+    table = grlex_rank(shifts[:, None, :] + simplex_index(n, degree).exponents[None, :, :])
+    return _read_only(table)[0]
 
 
 def monomial_values(points, exponents) -> np.ndarray:

@@ -19,6 +19,7 @@ from momentcone import (
     MomentSequence,
     Polynomial,
     WeightSpec,
+    axis_scale,
     box_from_weight,
     box_sos_approx,
     dual_norm_of_moments,
@@ -37,6 +38,7 @@ from momentcone import (
     poly_eval,
     poly_mul,
     poly_scale,
+    poly_sub,
     recover_measure,
     scaling_isometry,
     sqrt_square_approx,
@@ -173,7 +175,11 @@ def test_criterion_5a_box_density():
     for eps in (1.0, 0.5):
         result = box_sos_approx(f_weighted, w_weighted, eps, 2)
         assert result.success
-        assert abs(result.distance - result.unit_distance) <= 1e-9 * max(
+        # distance is the weighted norm of the unit-box gap mapped back to the box
+        halfwidths = box_from_weight(w_weighted).upper
+        unit_gap = poly_sub(axis_scale(f_weighted, halfwidths), result.certificate.square_sum)
+        gap = axis_scale(unit_gap, tuple(1.0 / c for c in halfwidths))
+        assert abs(result.distance - weighted_norm(gap, w_weighted)) <= 1e-9 * max(
             1.0, result.distance
         )
 

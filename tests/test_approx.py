@@ -663,7 +663,11 @@ class TestBoxSosApprox:
         for eps in (1.0, 0.5):
             res = box_sos_approx(f, w, eps, 2)
             assert res.success
-            assert abs(res.distance - res.unit_distance) <= 1e-9 * max(1.0, res.distance)
+            # distance is the weighted norm of the unit-box gap mapped back to the box
+            halfwidths = box_from_weight(w).upper
+            unit_gap = poly_sub(axis_scale(f, halfwidths), res.certificate.square_sum)
+            gap = axis_scale(unit_gap, tuple(1.0 / c for c in halfwidths))
+            assert abs(res.distance - weighted_norm(gap, w)) <= 1e-9 * max(1.0, res.distance)
             # distance is the weighted gap recomputed from the returned factors
             total = Polynomial.zero(1)
             for h in res.factors:
@@ -671,14 +675,14 @@ class TestBoxSosApprox:
             direct = weighted_norm(poly_sub(f, total), w)
             assert res.distance == pytest.approx(direct, rel=1e-12)
 
-    def test_unit_distance_from_certificate_square_sum(self):
+    def test_distance_from_certificate_square_sum(self):
         f = Polynomial(1, {(0,): 1.0, (2,): -0.25})
         w = WeightSpec(2, (4.0,))
         res = box_sos_approx(f, w, 0.5, 2)
         assert res.success
         f_unit = axis_scale(f, box_from_weight(w).upper)
         gap = poly_sub(f_unit, res.certificate.square_sum)
-        assert res.unit_distance == weighted_norm(gap, WeightSpec(w.p, (1.0,)))
+        assert res.distance == weighted_norm(gap, WeightSpec(w.p, (1.0,)))
 
     def test_monotone_norm_inclusion(self):
         # accepted at lp distance delta, the same certificate is within delta in lq, q >= p

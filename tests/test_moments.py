@@ -29,7 +29,7 @@ from momentcone import (
     simplex_size,
     weighted_norm,
 )
-from momentcone.polyring import simplex_index
+from momentcone.polyring import grlex_rank, simplex_index
 from momentcone.approx import _psd_project
 from conftest import random_sparse_poly
 
@@ -281,6 +281,22 @@ class TestLocalizedMomentMatrix:
             )
             scale = float(np.max(np.abs(direct)))
             assert np.max(np.abs(local - direct)) <= 1e-12 * scale
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3), st.integers(0, 2), st.integers(0, 3), st.integers(0, 2**32 - 1))
+    def test_bit_equal_to_per_term_rank_loop(self, n, d, g_degree, seed):
+        # the reference ranks the m x m x n exponent table of each term of g and
+        # adds coef * s[table] term by term in g's stored order
+        rng = np.random.default_rng(seed)
+        g = random_sparse_poly(rng, n, g_degree)
+        s = MomentSequence(n, 2 * d + g_degree, rng.normal(size=simplex_size(n, 2 * d + g_degree)))
+        e = simplex_index(n, d).exponents
+        reference = np.zeros((len(e), len(e)))
+        for gamma, coef in zip(g.exponents, g.coefs.tolist()):
+            reference += coef * s.vector[grlex_rank(e[:, None] + e[None] + gamma)]
+        assert np.array_equal(localized_moment_matrix(s, g, d), reference)
+        one = Polynomial.constant(n, 1.0)
+        assert np.array_equal(moment_matrix(s, d), localized_moment_matrix(s, one, d))
 
     def test_read_only_array(self):
         g = Polynomial(1, {(0,): 1.0, (2,): -1.0})

@@ -1,5 +1,9 @@
 import math
 import operator
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +26,12 @@ from momentcone import (
     series_sqrt,
     simplex_size,
 )
-from momentcone.polyring import dense_coefficients, simplex_index, truncated_square
+from momentcone.polyring import (
+    dense_coefficients,
+    shift_table,
+    simplex_index,
+    truncated_square,
+)
 from conftest import (
     assert_poly_close,
     coefficient_gap,
@@ -77,14 +86,44 @@ class TestSimplexOrder:
                 idx = simplex_index(n, d)
                 assert idx.basis == tuple(iter_simplex(n, d))
                 assert [tuple(row) for row in idx.exponents.tolist()] == list(idx.basis)
-                assert np.array_equal(idx.hankel(), idx.hankel((0,) * n))
-                for c in iter_simplex(n, 2):
+                shifts = shift_table(n, 2 * d, 2)
+                for rank_c, c in enumerate(iter_simplex(n, 2)):
                     rank = {alpha: k for k, alpha in enumerate(iter_simplex(n, 2 * d + sum(c)))}
                     expected = [
                         [rank[tuple(x + y + z for x, y, z in zip(a, b, c))] for b in idx.basis]
                         for a in idx.basis
                     ]
-                    assert idx.hankel(c).tolist() == expected
+                    assert shifts[rank_c][idx.hankel()].tolist() == expected
+
+
+class TestRankTables:
+    def test_hankel_built_once_and_shared(self):
+        idx = simplex_index(2, 3)
+        assert idx.hankel() is simplex_index(2, 3).hankel()
+        assert idx.hankel() is shift_table(2, 3, 3)
+
+    def test_tables_read_only(self):
+        for table in (simplex_index(2, 2).hankel(), shift_table(3, 4, 2)):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 1
+
+    def test_nothing_built_at_import(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        # every SimplexIndex reads its H from shift_table, so an empty shift_table
+        # cache means no H exists; one moment matrix then fills it
+        code = (
+            "import momentcone.cli\n"
+            "from momentcone.polyring import shift_table, simplex_index\n"
+            "print(shift_table.cache_info().currsize, simplex_index.cache_info().currsize)\n"
+            "momentcone.cli.moment_matrix(momentcone.MomentSequence(1, 2, [1.0, 0.0, 1.0]), 1)\n"
+            "print(shift_table.cache_info().currsize)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout.split() == ["0", "0", "1"]
 
 
 class TestAdd:

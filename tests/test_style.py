@@ -2,8 +2,9 @@
 (package __init__ re-exports and __future__ imports are exempt), no line is
 longer than 100 characters, no module under src/ imports a private
 (underscore) name from another module of the package or imports scipy, and
-no module under src/ but polyring reads a polynomial's terms map or calls
-object.__new__."""
+no module under src/ but polyring reads a polynomial's terms map, calls
+object.__new__ or calls grlex_rank on a sum (rank tables of exponent sums
+are built once, in polyring's cached layer)."""
 
 import ast
 from pathlib import Path
@@ -130,3 +131,37 @@ def test_no_scipy_under_src():
         for item in scipy_imports(path)
     ]
     assert not found, "scipy imports under src/:\n" + "\n".join(found)
+
+
+def rank_of_sum_calls(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [
+        f"grlex_rank of a sum (line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "grlex_rank"
+        and any(isinstance(arg, ast.BinOp) for arg in node.args)
+    ]
+
+
+def test_rank_of_sum_calls_found(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "grlex_rank(a + b)\npolyring.grlex_rank(a[:, None] + c)\ngrlex_rank(a)\nrank(a + b)\n"
+    )
+    assert rank_of_sum_calls(probe) == [
+        "grlex_rank of a sum (line 1)",
+        "grlex_rank of a sum (line 2)",
+    ]
+
+
+def test_rank_tables_stay_in_polyring():
+    # a moment-side gather reads a cached table (SimplexIndex.hankel, shift_table)
+    # instead of ranking an exponent sum table on every call
+    found = [
+        f"{path.relative_to(ROOT)}: {item}"
+        for path in FILES
+        if path.is_relative_to(ROOT / "src") and path.name != "polyring.py"
+        for item in rank_of_sum_calls(path)
+    ]
+    assert not found, "exponent sums ranked outside polyring:\n" + "\n".join(found)
