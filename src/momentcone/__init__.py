@@ -7,7 +7,6 @@ from .polyring import (
     MultiIndex,
     Polynomial,
     axis_scale,
-    homogeneous_part,
     iter_simplex,
     poly_add,
     poly_eval,
@@ -28,7 +27,6 @@ from .norms import (
     eval_sequence_norm,
     eval_sequence_norm_partial,
     holder_product_norm,
-    is_evaluation_continuous,
     scaling_isometry,
     weighted_norm,
 )
@@ -63,11 +61,9 @@ from .measures import (
     AtomicMeasure,
     BoxSpec,
     RecoveryResult,
-    VerificationReport,
     box_from_weight,
     measure_from_dict,
     measure_to_dict,
     moments_of_measure,
     recover_measure,
-    verify_representation,
 )

@@ -32,6 +32,7 @@ from .polyring import (
     poly_scale,
     poly_sub,
     series_sqrt,
+    shift_table,
     simplex_index,
     simplex_size,
     sqrt_coefficients,
@@ -62,8 +63,9 @@ def sqrt_square_approx(f: Polynomial, i: int) -> Polynomial:
     return series_sqrt(shifted, i)
 
 
-def coefficientwise_report(f: Polynomial, i_max: int) -> list[tuple[Polynomial, float]]:
-    """The pairs (h_i, max |coef(h_i^2, a) - f_a| over |a| <= deg f) for i = 1..i_max.
+def coefficientwise_report(f: Polynomial, i_max: int) -> tuple[Polynomial, list[float]]:
+    """(h_{i_max}, errors), errors[i - 1] = max |coef(h_i^2, a) - f_a| over
+    |a| <= deg f for i = 1..i_max.
 
     Once i >= deg f the only deviation left is the constant shift, so the
     error is exactly 1/i from then on.  Each h_i is computed on a dense
@@ -77,15 +79,16 @@ def coefficientwise_report(f: Polynomial, i_max: int) -> list[tuple[Polynomial, 
     region = max(f.degree, 0)
     coefficients = dense_coefficients(f, max(region, i_max))
     target = coefficients[: simplex_size(f.n, region)]
-    rows = []
+    errors = []
     for i in range(i_max, 0, -1):  # largest i first: its coefficients overflow first
         shifted = coefficients[: simplex_size(f.n, i)].copy()
         shifted[0] += 1.0 / i
-        h = sqrt_coefficients(shifted, f.n, i)
-        h_i = poly_from_vector(f.n, i, h)
+        h = check_finite(sqrt_coefficients(shifted, f.n, i), f.n, i)
+        if i == i_max:
+            h_max = poly_from_vector(f.n, i, h)
         square = check_finite(truncated_square(h, f.n, region), f.n, region)
-        rows.append((h_i, float(np.max(np.abs(square - target)))))
-    return rows[::-1]
+        errors.append(float(np.max(np.abs(square - target))))
+    return h_max, errors[::-1]
 
 
 @dataclass(frozen=True)
@@ -200,7 +203,7 @@ def _checked_dual(ell: np.ndarray, hankel: np.ndarray, targets: np.ndarray,
 
 def _uniform_moments(n: int, degree: int) -> np.ndarray:
     """Moments of the uniform probability measure on [-1, 1]^n, graded-lex to degree."""
-    e = simplex_index(n, degree).exponents
+    e = simplex_index(n, degree)
     return np.prod(np.where(e % 2 == 0, 1.0 / (e + 1), 0.0), axis=1)
 
 
@@ -230,13 +233,12 @@ def sos_certify(
         raise ValueError("max_iters must be >= 1")
     if f.degree > 2 * d:
         raise ValueError(f"degree {f.degree} exceeds Gram capacity {2 * d}")
-    idx = simplex_index(f.n, d)
     targets = dense_coefficients(f, 2 * d)
     uniform = _uniform_moments(f.n, 2 * d)
-    full = idx.hankel()
+    full = shift_table(f.n, d, d)
     keep, culprit = _prune_basis(full, targets)
     rows = np.flatnonzero(keep)
-    basis = tuple(idx.basis[i] for i in rows)
+    basis = tuple(map(tuple, simplex_index(f.n, d)[rows].tolist()))
     m = len(basis)
     hankel = full[np.ix_(rows, rows)]
     flat = hankel.ravel()
@@ -281,7 +283,7 @@ def sos_certify(
     w, v = np.linalg.eigh(gram)
     gram_min_eig = float(w[0]) if m else 0.0
     kept = np.flatnonzero(w > 1e-14 * float(w.max(initial=1.0))) if success else []
-    factors = np.zeros((len(kept), len(idx.basis)))
+    factors = np.zeros((len(kept), len(full)))
     factors[:, rows] = (v[:, kept] * np.sqrt(w[kept])).T
     square_sum = np.zeros(len(targets))
     for h in factors:

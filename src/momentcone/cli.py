@@ -191,13 +191,11 @@ def _cmd_sqrt_approx(args) -> tuple[str, bool]:
     if f.constant_term < 0.0:
         error = "f(0) < 0: not a coefficientwise limit of squares"
         return render_json({"pass": False, "error": error}), False
-    rows = coefficientwise_report(f, args.i)
+    h, errors = coefficientwise_report(f, args.i)
     report = {
         "i": args.i,
-        "h": poly_to_dict(rows[-1][0]),
-        "errors": [
-            {"i": i, "max_coefficient_error": error} for i, (_, error) in enumerate(rows, 1)
-        ],
+        "h": poly_to_dict(h),
+        "errors": [{"i": i, "max_coefficient_error": e} for i, e in enumerate(errors, 1)],
         "pass": True,
     }
     return render_json(report), True

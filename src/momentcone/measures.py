@@ -16,16 +16,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
 from .moments import MomentSequence, moment_matrix
 from .norms import WeightSpec
 from .polyring import (
-    MultiIndex,
     grlex_rank,
     monomial_values,
+    number_field,
     shift_table,
     simplex_index,
     simplex_size,
@@ -78,15 +77,11 @@ class AtomicMeasure:
             raise ValueError("empty measure has no dimension")
         return len(self.atoms[0])
 
-    @property
-    def mass(self) -> float:
-        return math.fsum(self.weights)
-
 
 def _integrate_simplex(mu: AtomicMeasure, n: int, max_degree: int) -> list[float]:
     """sum_j w_j x_j^alpha for every |alpha| <= max_degree, in graded-lex order."""
     points = np.reshape(np.array(mu.atoms, dtype=float), (-1, n))
-    vander = monomial_values(points, simplex_index(n, max_degree).exponents)
+    vander = monomial_values(points, simplex_index(n, max_degree))
     return [math.fsum(column) for column in (vander * np.array(mu.weights)[:, None]).T]
 
 
@@ -246,7 +241,7 @@ def _flat_measure(s_unit: MomentSequence) -> tuple[np.ndarray, np.ndarray] | Non
     if not (np.abs(atoms) <= 1.0 + _FACE_SNAP).all():
         return None
     atoms = np.clip(atoms, -1.0, 1.0)
-    vander = monomial_values(atoms, simplex_index(n, s_unit.max_degree).exponents)
+    vander = monomial_values(atoms, simplex_index(n, s_unit.max_degree))
     weights = np.linalg.lstsq(vander.T, s_unit.vector, rcond=None)[0]
     if not (weights > 0.0).all():
         return None
@@ -285,8 +280,7 @@ def recover_measure(
     (counted in `iterations`) that end on the KKT conditions.  It keeps the
     support with weight above SUPPORT_THRESHOLD, at most len(s.vector) atoms,
     mapped back onto the original grid by index; with no atom kept the
-    residual is ||s||_2 (verify_representation checks such a result,
-    moments_of_measure cannot).  Failure (residual above tol) signals a
+    residual is ||s||_2.  Failure (residual above tol) signals a
     too-small box, too-coarse grid, or moments that no measure on the box
     can produce.
     """
@@ -294,7 +288,7 @@ def recover_measure(
         raise ValueError(f"dimension mismatch: box has n={box.n}, moments have n={s.n}")
     if grid_m < 2:
         raise ValueError("need at least 2 grid points per axis")
-    exponents = simplex_index(s.n, s.max_degree).exponents
+    exponents = simplex_index(s.n, s.max_degree)
     b_unit = s.vector / monomial_values([box.upper], exponents)[0]
     flat = None
     if np.isfinite(b_unit).all():  # c^-alpha can overflow on a small box
@@ -318,41 +312,6 @@ def recover_measure(
     return _result(s, points[mask], weights[mask], tol, iterations, "grid")
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    per_index: Mapping[MultiIndex, float]
-    max_residual: float
-    atoms_in_box: bool | None
-    passed: bool
-
-
-def verify_representation(
-    s: MomentSequence,
-    mu: AtomicMeasure,
-    box: BoxSpec | None = None,
-) -> VerificationReport:
-    """Compare the moments of mu against s index by index.
-
-    Reports |s(alpha) - sum_j w_j x_j^alpha| for every stored alpha, the worst
-    deviation, and (when a box is supplied) whether every atom lies inside it.
-    It passes when the worst deviation is at most 1e-9 and no atom is outside.
-    """
-    if mu.atoms and mu.n != s.n:
-        raise ValueError(f"dimension mismatch: measure has n={mu.n}, moments have n={s.n}")
-    basis = simplex_index(s.n, s.max_degree).basis
-    integrals = _integrate_simplex(mu, s.n, s.max_degree)
-    per_index = {
-        alpha: abs(value - integral)
-        for alpha, value, integral in zip(basis, s.vector.tolist(), integrals)
-    }
-    max_residual = max(per_index.values(), default=0.0)
-    atoms_in_box = None
-    if box is not None:
-        atoms_in_box = all(box.contains(p) for p in mu.atoms)
-    passed = max_residual <= 1e-9 and atoms_in_box is not False
-    return VerificationReport(per_index, max_residual, atoms_in_box, passed)
-
-
 def measure_to_dict(mu: AtomicMeasure) -> dict:
     """JSON-ready form mirroring the AtomicMeasure fields."""
     return {
@@ -364,7 +323,12 @@ def measure_to_dict(mu: AtomicMeasure) -> dict:
 def measure_from_dict(data: dict) -> AtomicMeasure:
     if not isinstance(data, dict) or not {"atoms", "weights"} <= set(data):
         raise ValueError('measure JSON must be {"atoms": [...], "weights": [...]}')
+    atoms, weights = data["atoms"], data["weights"]
+    if not isinstance(atoms, (list, tuple)) or not isinstance(weights, (list, tuple)):
+        raise ValueError("atoms and weights must be lists")
+    if not all(isinstance(p, (list, tuple)) for p in atoms):
+        raise ValueError("each atom must be a list of coordinates")
     return AtomicMeasure(
-        tuple(tuple(float(x) for x in p) for p in data["atoms"]),
-        tuple(float(v) for v in data["weights"]),
+        tuple(tuple(number_field(x, "atom coordinate") for x in p) for p in atoms),
+        tuple(number_field(v, "weight") for v in weights),
     )

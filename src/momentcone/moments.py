@@ -4,9 +4,9 @@ A linear functional on polynomials is stored through its monomial values
 s(alpha) on the full simplex |alpha| <= max_degree: one read-only vector in
 graded-lex order, s(alpha) at grlex_rank(alpha).  The moments of degree <= D
 are therefore the first simplex_size(n, D) entries.
-(Localized) moment matrices are read-only numpy arrays with rows and columns
-indexed by simplex_index(n, d).basis, each one gather through the cached
-Hankel table H = simplex_index(n, d).hankel(): M_d = s[H], and the localized
+(Localized) moment matrices are read-only numpy arrays whose row and column i
+stand for row i of simplex_index(n, d), each one gather through the cached
+Hankel table H = shift_table(n, d, d): M_d = s[H], and the localized
 matrix is (g.s)[H] for the shifted sequence (g.s)(a) = sum_c g_c s(a + c) over
 the degree-2d simplex, whose term c reads row rank(c) of a cached shift_table.
 No call ranks an exponent table of its own.
@@ -28,6 +28,7 @@ from .polyring import (
     grlex_rank,
     grlex_sort,
     integer_field,
+    number_field,
     shift_table,
     simplex_index,
     simplex_size,
@@ -48,7 +49,7 @@ def _check_simplex_count(n: int, max_degree: int, count: int) -> None:
 class MomentSequence:
     """Monomial values of a linear functional up to a truncation degree.
 
-    ``vector[i]`` is s(alpha) for alpha = simplex_index(n, max_degree).basis[i].
+    ``vector[i]`` is s(alpha) for alpha = row i of simplex_index(n, max_degree).
     It must cover that whole simplex, so every matrix entry below the
     truncation exists.  The constructor stores a read-only float copy.
     """
@@ -69,11 +70,11 @@ class MomentSequence:
 
 def moments_to_dict(s: MomentSequence) -> dict:
     """JSON-ready form mirroring the moment file format, in graded-lex order."""
-    basis = simplex_index(s.n, s.max_degree).basis
+    basis = simplex_index(s.n, s.max_degree).tolist()
     return {
         "n": s.n,
         "max_degree": s.max_degree,
-        "values": [{"exp": list(a), "s": v} for a, v in zip(basis, s.vector.tolist())],
+        "values": [{"exp": a, "s": v} for a, v in zip(basis, s.vector.tolist())],
     }
 
 
@@ -91,10 +92,10 @@ def moments_from_dict(data: dict) -> MomentSequence:
     max_degree = integer_field(data["max_degree"], "max_degree")
     entries = data["values"]
     exps, exponents = exponent_array([entry["exp"] for entry in entries], n)
-    values = [float(entry["s"]) for entry in entries]
+    values = [number_field(entry["s"], "moment value") for entry in entries]
     _check_simplex_count(n, max_degree, len(exps))  # before the simplex index is built
     order, ranked, repeat = grlex_sort(exponents)
-    if not np.array_equal(ranked, simplex_index(n, max_degree).exponents):
+    if not np.array_equal(ranked, simplex_index(n, max_degree)):
         outside = ((exponents < 0) | (exponents > max_degree)).any(axis=1)
         outside |= exponents.sum(axis=1) > max_degree
         if outside.any():
@@ -117,12 +118,12 @@ def apply_functional(s: MomentSequence, f: Polynomial) -> float:
 
 
 def moment_matrix(s: MomentSequence, d: int) -> np.ndarray:
-    """The read-only matrix M[a, b] = s(a + b) over simplex_index(n, d).basis."""
+    """The read-only matrix M[a, b] = s(a + b) over the rows of simplex_index(n, d)."""
     if d < 0:
         raise ValueError("degree must be >= 0")
     if 2 * d > s.max_degree:
         raise ValueError(f"insufficient moments: need degree {2 * d}, have {s.max_degree}")
-    entries = s.vector[simplex_index(s.n, d).hankel()]
+    entries = s.vector[shift_table(s.n, d, d)]
     entries.setflags(write=False)
     return entries
 
@@ -141,7 +142,7 @@ def localized_moment_matrix(s: MomentSequence, g: Polynomial, d: int) -> np.ndar
     shifted = np.zeros(simplex_size(s.n, 2 * d))  # (g.s)(a), summed in g's stored order
     for rank, coef in zip(grlex_rank(g.exponents).tolist(), g.coefs.tolist()):
         shifted += coef * s.vector[shifts[rank]]
-    entries = shifted[simplex_index(s.n, d).hankel()]
+    entries = shifted[shift_table(s.n, d, d)]
     entries.setflags(write=False)
     return entries
 
@@ -227,7 +228,7 @@ def dual_norm_profile(s: MomentSequence, w: WeightSpec) -> list[float]:
         raise ValueError(f"dimension mismatch: {s.n} vs {w.n}")
     scales = tuple(1.0 / c for c in w.halfwidths)
     ends = [simplex_size(s.n, degree) for degree in range(s.max_degree + 1)]
-    exponents = simplex_index(s.n, s.max_degree).exponents
+    exponents = simplex_index(s.n, s.max_degree)
     return lp_norms(exponents, s.vector, scales, conjugate_exponent(w.p), ends)
 
 

@@ -193,15 +193,9 @@ def eval_sequence_norm_partial(x, w: WeightSpec, max_degree: int) -> float:
     the lq norm of ((|x| / c)^a)_a, c = w.halfwidths; inf only when it is too
     large for a float."""
     ratios = _box_ratios(x, w)
-    exponents = simplex_index(w.n, max_degree).exponents
+    exponents = simplex_index(w.n, max_degree)
     ones = np.ones(len(exponents))
     return lp_norms(exponents, ones, ratios, conjugate_exponent(w.p), (len(ones),))[0]
-
-
-def is_evaluation_continuous(x, w: WeightSpec) -> bool:
-    """Whether evaluation at x is bounded for ||.||_{p,r}, i.e. whether the
-    dual norm of (x^a)_a is finite."""
-    return math.isfinite(eval_sequence_norm(x, w))
 
 
 def holder_product_norm(a: Polynomial, b: Polynomial, p) -> tuple[float, float]:

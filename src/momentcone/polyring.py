@@ -73,26 +73,12 @@ def grlex_rank(alpha) -> np.ndarray:
     return rank
 
 
-class SimplexIndex:
-    """The graded-lex basis |alpha| <= degree in n variables: ``exponents[i]``
-    is ``basis[i]``, and ``hankel()`` is the read-only Hankel table H, H[i, j]
-    the rank of ``basis[i] + basis[j]``, so that s[H] is a moment matrix.  H is
-    shift_table(n, degree, degree), built on the first call and shared."""
-
-    def __init__(self, n: int, degree: int) -> None:
-        self.n, self.degree = n, degree
-        self.basis: tuple[MultiIndex, ...] = tuple(iter_simplex(n, degree))
-        self.exponents = np.array(self.basis, dtype=np.int64).reshape(-1, n)
-        self.exponents.setflags(write=False)
-
-    def hankel(self) -> np.ndarray:
-        return shift_table(self.n, self.degree, self.degree)
-
-
 @functools.lru_cache(maxsize=64)
-def simplex_index(n: int, degree: int) -> SimplexIndex:
-    """The shared SimplexIndex of (n, degree)."""
-    return SimplexIndex(n, degree)
+def simplex_index(n: int, degree: int) -> np.ndarray:
+    """The shared, read-only (m, n) int64 array of the graded-lex basis |alpha|
+    <= degree in n variables: row i is the exponent of rank i."""
+    exponents = np.array(list(iter_simplex(n, degree)), dtype=np.int64).reshape(-1, n)
+    return _read_only(exponents)[0]
 
 
 @functools.lru_cache(maxsize=128)
@@ -100,8 +86,8 @@ def shift_table(n: int, degree: int, shift_degree: int) -> np.ndarray:
     """The read-only rank table T[rank(c), rank(a)] = rank(a + c) for |a| <=
     degree and |c| <= shift_degree: row rank(c) of T gathers the sequence
     a -> s(a + c) over the degree simplex from a moment vector s."""
-    shifts = simplex_index(n, shift_degree).exponents
-    table = grlex_rank(shifts[:, None, :] + simplex_index(n, degree).exponents[None, :, :])
+    shifts = simplex_index(n, shift_degree)
+    table = grlex_rank(shifts[:, None, :] + simplex_index(n, degree)[None, :, :])
     return _read_only(table)[0]
 
 
@@ -389,14 +375,6 @@ def axis_scale(f: Polynomial, scales) -> Polynomial:
     return Polynomial(f.n, _Rows(f.exponents, scaled_coefficients(f.exponents, f.coefs, cs)))
 
 
-def homogeneous_part(f: Polynomial, d: int) -> Polynomial:
-    """Sum of the terms of total degree exactly d."""
-    if d < 0:
-        raise ValueError("degree must be >= 0")
-    keep = f.exponents.sum(axis=1) == d
-    return Polynomial(f.n, _Rows(f.exponents[keep], f.coefs[keep]))
-
-
 def _check_finite_rows(values: np.ndarray, rows, what: str = "coefficient") -> np.ndarray:
     # values unchanged, or a ValueError naming the first that is not finite and its row
     finite = np.isfinite(values)
@@ -407,15 +385,15 @@ def _check_finite_rows(values: np.ndarray, rows, what: str = "coefficient") -> n
 
 
 def check_finite(vector: np.ndarray, n: int, degree: int, what: str = "coefficient") -> np.ndarray:
-    """The graded-lex vector over simplex_index(n, degree).basis unchanged, or
-    a ValueError naming its first entry that is not finite and that exponent."""
-    return _check_finite_rows(vector, simplex_index(n, degree).exponents, what)
+    """The graded-lex vector over the rows of simplex_index(n, degree) unchanged,
+    or a ValueError naming its first entry that is not finite and that exponent."""
+    return _check_finite_rows(vector, simplex_index(n, degree), what)
 
 
 def poly_from_vector(n: int, degree: int, vector: np.ndarray) -> Polynomial:
-    """The Polynomial with coefficient vector[i] at simplex_index(n, degree).basis[i],
+    """The Polynomial with coefficient vector[i] at row i of simplex_index(n, degree),
     for a float vector over that whole basis, kept in its order."""
-    return Polynomial(n, _Rows(simplex_index(n, degree).exponents, vector))
+    return Polynomial(n, _Rows(simplex_index(n, degree), vector))
 
 
 def dense_coefficients(f: Polynomial, degree: int) -> np.ndarray:
@@ -432,7 +410,7 @@ def _sqrt_pairs(n: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # series_sqrt's degree-d step, a ascending, and the bin of a + b: product
     # j fills row j of a (d, m) array, m the size of the degree-d block, and
     # row 0 is left for f_d.
-    exponents = simplex_index(n, d).exponents
+    exponents = simplex_index(n, d)
     total = exponents.sum(axis=1)
     inner = total > 0
     a, b = np.nonzero((total[:, None] + total[None, :] == d) & inner[:, None] & inner[None, :])
@@ -445,7 +423,7 @@ def _sqrt_pairs(n: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _square_pairs(n: int, degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # The ranks (a, b) of h * h with |a| + |b| <= degree, a ascending, and the
     # rank of a + b.
-    exponents = simplex_index(n, degree).exponents
+    exponents = simplex_index(n, degree)
     total = exponents.sum(axis=1)
     a, b = np.nonzero(total[:, None] + total[None, :] <= degree)
     return _read_only(a, b, grlex_rank(exponents[a] + exponents[b]))
@@ -517,6 +495,16 @@ def integer_field(value, name: str) -> int:
     return out
 
 
+def number_field(value, name: str) -> float:
+    """A JSON number read as a float: an int or a float, but not true or
+    false, a string or null."""
+    if type(value) is float:  # most fields, read at no cost
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} {value!r} is not a number")
+    return float(value)
+
+
 def poly_from_dict(data: dict) -> Polynomial:
     """Parse the JSON polynomial format, read as an exponent array and a
     coefficient array: entries in any order, each exponent once (the first
@@ -524,8 +512,11 @@ def poly_from_dict(data: dict) -> Polynomial:
     if not isinstance(data, dict) or "n" not in data or "terms" not in data:
         raise ValueError('polynomial JSON must be {"n": int, "terms": [...]}')
     n = integer_field(data["n"], "n")
-    rows = [entry["exp"] for entry in data["terms"]]
-    exponents, coefs = _checked(n, rows, [float(entry["coef"]) for entry in data["terms"]])
+    terms = data["terms"]
+    if not isinstance(terms, (list, tuple)):
+        raise ValueError('terms must be a list of {"exp": [...], "coef": number}')
+    rows = [entry["exp"] for entry in terms]
+    exponents, coefs = _checked(n, rows, [number_field(entry["coef"], "coef") for entry in terms])
     order, ranked, repeat = grlex_sort(exponents)
     if np.count_nonzero(repeat):
         raise ValueError(f"duplicate exponent {exponents[order[1:][repeat].min()].tolist()}")

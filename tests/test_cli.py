@@ -135,6 +135,25 @@ class TestNormCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: n ")
 
+    @pytest.mark.parametrize("literal", ['"1.5"', "true", "null"], ids=["string", "true", "null"])
+    def test_coefficient_not_a_number_exit_one(self, literal, tmp_path, capsys):
+        # a string, a boolean or null is not read as a number
+        path = tmp_path / "poly.json"
+        path.write_text('{"n": 1, "terms": [{"exp": [2], "coef": %s}]}' % literal)
+        assert main(["norm", "--f", str(path), "--p", "1", "--r", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: coef ")
+        assert captured.err.rstrip().endswith("is not a number")
+
+    def test_terms_not_a_list_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "poly.json"
+        path.write_text('{"n": 1, "terms": {"exp": [2], "coef": 1.0}}')
+        assert main(["norm", "--f", str(path), "--p", "1", "--r", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: terms must be a list")
+
 
 class TestEvalContCommand:
     def test_continuous_point(self, workdir, capsys):
@@ -212,6 +231,19 @@ class TestPsdCheckCommand:
         assert captured.out == ""
         assert captured.err.startswith("error:")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("literal", ['"2"', "false", "null"], ids=["string", "false", "null"])
+    def test_moment_value_not_a_number_exit_one(self, literal, tmp_path, capsys):
+        path = tmp_path / "moments.json"
+        path.write_text(
+            '{"n": 1, "max_degree": 2, "values": [{"exp": [0], "s": 1.0}, '
+            f'{{"exp": [1], "s": 0.0}}, {{"exp": [2], "s": {literal}}}]}}'
+        )
+        assert main(["psd-check", "--moments", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: moment value ")
+        assert captured.err.rstrip().endswith("is not a number")
 
     def test_fractional_max_degree_exit_one(self, tmp_path, capsys):
         path = tmp_path / "moments.json"
@@ -528,6 +560,26 @@ class TestMomentsCommand:
         values = {tuple(e["exp"]): e["s"] for e in report["values"]}
         assert values[(0,)] == 1.0
         assert values[(3,)] == pytest.approx(0.125)
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"atoms": [[0.5]], "weights": [True]}, "error: weight True is not a number"),
+            ({"atoms": [["0.5"]], "weights": [1.0]},
+             "error: atom coordinate '0.5' is not a number"),
+            ({"atoms": [[None]], "weights": [1.0]}, "error: atom coordinate None is not a number"),
+            ({"atoms": [0.5], "weights": [1.0]}, "error: each atom must be a list of coordinates"),
+            ({"atoms": [[0.5]], "weights": 1.0}, "error: atoms and weights must be lists"),
+        ],
+        ids=["boolean-weight", "string-coordinate", "null-coordinate", "bare-atom", "bare-weight"],
+    )
+    def test_bad_measure_file_exit_one(self, data, message, tmp_path, capsys):
+        path = tmp_path / "measure.json"
+        path.write_text(json.dumps(data))
+        assert main(["moments", "--measure", str(path), "--degree", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message + "\n"
 
 
 class TestUsageErrors:

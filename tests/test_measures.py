@@ -24,7 +24,6 @@ from momentcone import (
     moments_of_measure,
     poly_eval,
     recover_measure,
-    verify_representation,
 )
 from momentcone.measures import _nnls, grid_points
 from conftest import random_sparse_poly
@@ -73,7 +72,7 @@ class TestAtomicMeasure:
     @given(ATOM_PAIRS)
     def test_finite_input_accepted(self, pairs):
         mu = AtomicMeasure(*zip(*pairs))
-        assert mu.mass == pytest.approx(math.fsum(w for _, w in pairs))
+        assert math.fsum(mu.weights) == pytest.approx(math.fsum(w for _, w in pairs))
         assert all(math.isfinite(v) for atom in mu.atoms for v in atom)
 
     @settings(max_examples=60, deadline=None)
@@ -85,10 +84,6 @@ class TestAtomicMeasure:
         entries[row][col] = bad
         with pytest.raises(ValueError, match="not finite"):
             AtomicMeasure([e[:-1] for e in entries], [e[-1] for e in entries])
-
-    def test_mass(self):
-        mu = AtomicMeasure(((0.1,), (0.2,)), (1.5, 2.5))
-        assert mu.mass == 4.0
 
     def test_json_round_trip(self):
         mu = AtomicMeasure(((0.25, -1.0), (0.5, 0.5)), (1.0, 2.0))
@@ -252,13 +247,13 @@ class TestRecoverMeasure:
         assert result.residual == np.linalg.norm(s.vector)
 
     def test_result_without_atoms_checked_by_verify_representation(self):
-        # moments_of_measure cannot take a measure without atoms; this check can
+        # moments_of_measure cannot take a measure without atoms; the residual
+        # recover_measure reports is ||s||_2 and fails the tolerance
         s = MomentSequence(1, 2, [-1.0, 0.0, -1.0])
         result = recover_measure(s, UNIT_BOX, 41)
         assert result.measure.atoms == ()
-        report = verify_representation(s, result.measure)
-        assert report.max_residual == 1.0
-        assert report.passed is False
+        assert result.residual == math.sqrt(2.0)
+        assert not result.success
 
 
 @st.composite
@@ -379,30 +374,6 @@ class TestConsistencyWithPsdChecks:
             s = moments_of_measure(mu, 6)
             w = WeightSpec(1, r)
             profile = dual_norm_profile(s, w)
-            assert all(v <= mu.mass + 1e-12 for v in profile)
-            assert dual_norm_of_moments(s, w) <= mu.mass + 1e-12
-
-
-class TestVerifyRepresentation:
-    def test_exact_round_trip(self):
-        mu = AtomicMeasure(((0.5,), (-0.25,)), (1.0, 2.0))
-        s = moments_of_measure(mu, 6)
-        report = verify_representation(s, mu, UNIT_BOX)
-        assert report.max_residual <= 1e-12
-        assert report.atoms_in_box is True
-        assert report.passed
-
-    def test_nudged_atom_detected(self):
-        mu = AtomicMeasure(((0.5,),), (1.0,))
-        s = moments_of_measure(mu, 6)
-        nudged = AtomicMeasure(((0.6,),), (1.0,))
-        report = verify_representation(s, nudged, UNIT_BOX)
-        assert report.max_residual > 0.01
-        assert not report.passed
-
-    def test_atom_outside_box_flagged(self):
-        mu = AtomicMeasure(((1.5,),), (1.0,))
-        s = moments_of_measure(mu, 4)
-        report = verify_representation(s, mu, UNIT_BOX)
-        assert report.atoms_in_box is False
-        assert not report.passed
+            mass = math.fsum(mu.weights)
+            assert all(v <= mass + 1e-12 for v in profile)
+            assert dual_norm_of_moments(s, w) <= mass + 1e-12

@@ -265,8 +265,8 @@ class TestLocalizedMomentMatrix:
         for _ in range(10):
             g = random_sparse_poly(rng, 2, 3)
             local = localized_moment_matrix(s, g, 2)
-            basis = simplex_index(2, 2).basis
-            basis7 = simplex_index(2, 7).basis
+            basis = list(iter_simplex(2, 2))
+            basis7 = list(iter_simplex(2, 7))
             direct = np.array(
                 [
                     [
@@ -290,7 +290,7 @@ class TestLocalizedMomentMatrix:
         rng = np.random.default_rng(seed)
         g = random_sparse_poly(rng, n, g_degree)
         s = MomentSequence(n, 2 * d + g_degree, rng.normal(size=simplex_size(n, 2 * d + g_degree)))
-        e = simplex_index(n, d).exponents
+        e = simplex_index(n, d)
         reference = np.zeros((len(e), len(e)))
         for gamma, coef in zip(g.exponents, g.coefs.tolist()):
             reference += coef * s.vector[grlex_rank(e[:, None] + e[None] + gamma)]
@@ -358,7 +358,7 @@ class TestPsdCertification:
         mat = moment_matrix(s, 2)
         for _ in range(20):
             h = random_sparse_poly(rng, 2, 2)
-            vec = np.array([h.coefficient(a) for a in simplex_index(2, 2).basis])
+            vec = np.array([h.coefficient(a) for a in iter_simplex(2, 2)])
             quad = float(vec @ mat @ vec)
             direct = apply_functional(s, poly_mul(h, h))
             assert quad == pytest.approx(direct, rel=1e-10, abs=1e-10)

@@ -17,7 +17,6 @@ from momentcone import (
     eval_sequence_norm,
     eval_sequence_norm_partial,
     holder_product_norm,
-    is_evaluation_continuous,
     iter_simplex,
     poly_eval,
     scaling_isometry,
@@ -222,19 +221,19 @@ class TestEvalSequenceNorm:
 
 class TestEvaluationContinuity:
     def test_interior_point(self):
-        assert is_evaluation_continuous((0.5, 0.5), WeightSpec(2, ones(2)))
+        assert math.isfinite(eval_sequence_norm((0.5, 0.5), WeightSpec(2, ones(2))))
 
     def test_weighted_closed_box_for_p1(self):
-        assert is_evaluation_continuous((2.0,), WeightSpec(1, (4.0,)))
-        assert not is_evaluation_continuous((5.0,), WeightSpec(1, (4.0,)))
+        assert math.isfinite(eval_sequence_norm((2.0,), WeightSpec(1, (4.0,))))
+        assert not math.isfinite(eval_sequence_norm((5.0,), WeightSpec(1, (4.0,))))
         # p=1 continuity extends to the closed box: |x| = r exactly
-        assert is_evaluation_continuous((4.0,), WeightSpec(1, (4.0,)))
+        assert math.isfinite(eval_sequence_norm((4.0,), WeightSpec(1, (4.0,))))
 
     def test_sup_norm_boundary_diverges(self):
         # dual of the sup norm is the l1 series, which diverges at |x_i| = r_i;
         # test_divergence_witness below exhibits the unbounded functionals
-        assert not is_evaluation_continuous((1.0, 0.0), WeightSpec("inf", ones(2)))
-        assert is_evaluation_continuous((0.99, 0.0), WeightSpec("inf", ones(2)))
+        assert not math.isfinite(eval_sequence_norm((1.0, 0.0), WeightSpec("inf", ones(2))))
+        assert math.isfinite(eval_sequence_norm((0.99, 0.0), WeightSpec("inf", ones(2))))
 
     def test_divergence_witness(self):
         # f_k = (1/k)(1 + X + ... + X^k) has sup-norm 1/k -> 0 while the

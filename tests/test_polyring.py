@@ -14,7 +14,6 @@ from momentcone import (
     Polynomial,
     axis_scale,
     coefficientwise_report,
-    homogeneous_part,
     iter_simplex,
     poly_add,
     poly_eval,
@@ -25,6 +24,7 @@ from momentcone import (
     poly_to_dict,
     series_sqrt,
     simplex_size,
+    sqrt_square_approx,
 )
 from momentcone.polyring import (
     dense_coefficients,
@@ -83,27 +83,27 @@ class TestSimplexOrder:
     def test_simplex_index_matches_enumeration(self):
         for n in (1, 2, 3):
             for d in range(5):
-                idx = simplex_index(n, d)
-                assert idx.basis == tuple(iter_simplex(n, d))
-                assert [tuple(row) for row in idx.exponents.tolist()] == list(idx.basis)
+                exponents = simplex_index(n, d)
+                assert exponents.shape == (simplex_size(n, d), n)
+                basis = list(iter_simplex(n, d))
+                assert list(map(tuple, exponents.tolist())) == basis
                 shifts = shift_table(n, 2 * d, 2)
                 for rank_c, c in enumerate(iter_simplex(n, 2)):
                     rank = {alpha: k for k, alpha in enumerate(iter_simplex(n, 2 * d + sum(c)))}
                     expected = [
-                        [rank[tuple(x + y + z for x, y, z in zip(a, b, c))] for b in idx.basis]
-                        for a in idx.basis
+                        [rank[tuple(x + y + z for x, y, z in zip(a, b, c))] for b in basis]
+                        for a in basis
                     ]
-                    assert shifts[rank_c][idx.hankel()].tolist() == expected
+                    assert shifts[rank_c][shift_table(n, d, d)].tolist() == expected
 
 
 class TestRankTables:
     def test_hankel_built_once_and_shared(self):
-        idx = simplex_index(2, 3)
-        assert idx.hankel() is simplex_index(2, 3).hankel()
-        assert idx.hankel() is shift_table(2, 3, 3)
+        assert shift_table(2, 3, 3) is shift_table(2, 3, 3)
+        assert simplex_index(2, 3) is simplex_index(2, 3)
 
     def test_tables_read_only(self):
-        for table in (simplex_index(2, 2).hankel(), shift_table(3, 4, 2)):
+        for table in (simplex_index(2, 2), shift_table(2, 2, 2), shift_table(3, 4, 2)):
             assert not table.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 table[0, 0] = 1
@@ -111,8 +111,8 @@ class TestRankTables:
     def test_nothing_built_at_import(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        # every SimplexIndex reads its H from shift_table, so an empty shift_table
-        # cache means no H exists; one moment matrix then fills it
+        # every H is a shift_table, so an empty shift_table cache means no H
+        # exists; one moment matrix then fills it
         code = (
             "import momentcone.cli\n"
             "from momentcone.polyring import shift_table, simplex_index\n"
@@ -286,7 +286,7 @@ def sparse_series_sqrt(f, max_degree):
     components = [Polynomial.constant(f.n, g0)]
     inv = 1.0 / (2.0 * g0)
     for d in range(1, max_degree + 1):
-        acc = homogeneous_part(f, d)
+        acc = Polynomial(f.n, {a: v for a, v in f.terms.items() if sum(a) == d})
         for j in range(1, d):
             acc = poly_sub(acc, poly_mul(components[j], components[d - j]))
         components.append(poly_scale(acc, inv))
@@ -323,8 +323,11 @@ class TestDenseRounding:
     @given(low_degree_poly(st.floats(min_value=0.0, max_value=10.0)), st.integers(1, 8))
     def test_report_error_is_the_sparse_square_gap(self, f, i_max):
         region = list(iter_simplex(f.n, max(f.degree, 0)))
-        for h, error in coefficientwise_report(f, i_max):
-            square = poly_mul(h, h)
+        h, errors = coefficientwise_report(f, i_max)
+        assert list(h.terms.items()) == list(sqrt_square_approx(f, i_max).terms.items())
+        for i, error in enumerate(errors, 1):
+            h_i = sqrt_square_approx(f, i)
+            square = poly_mul(h_i, h_i)
             assert error == max(abs(square.coefficient(a) - f.coefficient(a)) for a in region)
 
     @settings(max_examples=100, deadline=None)
@@ -337,23 +340,6 @@ class TestDenseRounding:
     def test_overflow_names_a_coefficient(self):
         with pytest.raises(ValueError, match=r"at \(\d+,\) is not finite"):
             series_sqrt(Polynomial(1, {(0,): 1.0 / 200, (1,): 1.0}), 200)
-
-
-class TestHomogeneousPart:
-    def test_degree_filter(self):
-        f = Polynomial(2, {(0, 0): 1.0, (1, 0): 1.0, (1, 1): 1.0})
-        assert_poly_close(homogeneous_part(f, 2), Polynomial(2, {(1, 1): 1.0}))
-
-    def test_decomposition(self, rng):
-        f = random_sparse_poly(rng, 2, 5)
-        total = Polynomial.zero(2)
-        for d in range(f.degree + 1):
-            total = poly_add(total, homogeneous_part(f, d))
-        assert_poly_close(total, f)
-
-    def test_beyond_degree_is_zero(self):
-        f = Polynomial(1, {(2,): 3.0})
-        assert homogeneous_part(f, 5).terms == {}
 
 
 class TestRingAxioms:
@@ -478,7 +464,7 @@ def dict_eval(f, xs):
     return math.fsum(contributions)
 
 
-def assert_ops_match_dict_loops(n, f_terms, g_terms, c, scales, x, d):
+def assert_ops_match_dict_loops(n, f_terms, g_terms, c, scales, x):
     # the constructor and every operation equal their dict loops term for term,
     # in order and bit for bit
     f, g = Polynomial(n, f_terms), Polynomial(n, g_terms)
@@ -492,7 +478,6 @@ def assert_ops_match_dict_loops(n, f_terms, g_terms, c, scales, x, d):
         (poly_scale(f, c), dict_canonical({a: c * v for a, v in fd.items()})),
         (axis_scale(f, scales), dict_canonical(
             {a: v * math.prod(s**e for s, e in zip(scales, a) if e) for a, v in fd.items()})),
-        (homogeneous_part(f, d), {a: v for a, v in fd.items() if sum(a) == d}),
     ]
     for got, want in expected:
         assert list(got.terms.items()) == list(want.items())
@@ -507,7 +492,7 @@ def dict_pairs(draw):
     f, g = (draw(st.dictionaries(exponent, coef, max_size=12)) for _ in range(2))
     scales = tuple(draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n)))
     x = tuple(draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)))
-    return n, f, g, draw(coef), scales, x, draw(st.integers(0, 8))
+    return n, f, g, draw(coef), scales, x
 
 
 class TestArraysMatchDictLoops:
@@ -525,7 +510,7 @@ class TestArraysMatchDictLoops:
         assert list(f.terms) == [(0, 1), (1, 0), (big, 0)]
         assert f.degree == big
         assert list(poly_mul(f, g).terms)[-3:] == [(big + 1, 0), (big, big), (2 * big, 0)]
-        assert_ops_match_dict_loops(2, f_terms, g_terms, -0.75, (1.0, 0.5), (-1.0, 0.5), big)
+        assert_ops_match_dict_loops(2, f_terms, g_terms, -0.75, (1.0, 0.5), (-1.0, 0.5))
 
 
 class TestArrayForm:
