@@ -71,24 +71,33 @@ def coefficientwise_report(f: Polynomial, i_max: int) -> tuple[Polynomial, list[
     error is exactly 1/i from then on.  Each h_i is computed on a dense
     graded-lex vector (sqrt_coefficients, the same roundings as
     sqrt_square_approx), and only the coefficients of h_i^2 up to deg f are
-    formed, from a cached pair table (truncated_square): the report reads
-    nothing above deg f, so a square that overflows only there still gets a
-    row.  An h_i or a truncated square that is not finite is an error.
+    formed, all i in one np.bincount over the cached Hankel table
+    (truncated_square): the report reads nothing above deg f, so a square
+    that overflows only there still gets a row.  An h_i or a truncated
+    square that is not finite is an error, the first in largest-i order.
     """
     _check_index(f, i_max)
     region = max(f.degree, 0)
+    size = simplex_size(f.n, region)
     coefficients = dense_coefficients(f, max(region, i_max))
-    target = coefficients[: simplex_size(f.n, region)]
-    errors = []
-    for i in range(i_max, 0, -1):  # largest i first: its coefficients overflow first
+    stack = np.zeros((i_max, size))  # the finite h_i up to deg f, largest i first
+    for k, i in enumerate(range(i_max, 0, -1)):  # largest i first: it overflows first
         shifted = coefficients[: simplex_size(f.n, i)].copy()
         shifted[0] += 1.0 / i
-        h = check_finite(sqrt_coefficients(shifted, f.n, i), f.n, i)
+        h = sqrt_coefficients(shifted, f.n, i)
+        if not np.isfinite(h).all():
+            stack = stack[:k]
+            break
         if i == i_max:
             h_max = poly_from_vector(f.n, i, h)
-        square = check_finite(truncated_square(h, f.n, region), f.n, region)
-        errors.append(float(np.max(np.abs(square - target))))
-    return h_max, errors[::-1]
+        stack[k, : len(h)] = h[:size]
+    # every square in one np.bincount; a square's error comes before that of
+    # the next h_i, the one that ended the loop (check_finite passes h_1)
+    squares = truncated_square(stack, f.n, region)
+    for square in squares:
+        check_finite(square, f.n, region)
+    check_finite(h, f.n, i)
+    return h_max, np.max(np.abs(squares - coefficients[:size]), axis=1)[::-1].tolist()
 
 
 @dataclass(frozen=True)
@@ -110,9 +119,9 @@ class SosCertificate:
     * "cap": the iteration budget ran out with neither.
 
     factors are sqrt(w_k) v_k for the eigenpairs of gram with w_k > 1e-14
-    max w, formed as dense graded-lex rows, and square_sum adds up their
-    truncated_square in factor order, rounding each coefficient exactly as
-    sum_k poly_mul(h_k, h_k) does (both are empty when nothing is certified).
+    max w, formed as dense graded-lex rows; square_sum adds the Gram map of
+    each h_k h_k^T over the Hankel table in factor order, rounding as sum_k
+    poly_mul(h_k, h_k) does (both are empty when nothing is certified).
     """
 
     success: bool
@@ -286,8 +295,8 @@ def sos_certify(
     factors = np.zeros((len(kept), len(full)))
     factors[:, rows] = (v[:, kept] * np.sqrt(w[kept])).T
     square_sum = np.zeros(len(targets))
-    for h in factors:
-        square_sum += truncated_square(h, f.n, 2 * d)
+    for h in factors:  # the Gram map of h h^T, which rounds as poly_mul(h, h)
+        square_sum += np.bincount(full.ravel(), np.outer(h, h).ravel(), len(targets))
     if success:
         residual = float(np.max(np.abs(square_sum - targets)))
     return SosCertificate(

@@ -24,6 +24,7 @@ from .norms import WeightSpec, conjugate_exponent, lp_norms
 from .polyring import (
     Polynomial,
     check_finite,
+    entry_fields,
     exponent_array,
     grlex_rank,
     grlex_sort,
@@ -82,17 +83,18 @@ def moments_from_dict(data: dict) -> MomentSequence:
     """Parse the moment file format: the full simplex, any order, each exponent once.
 
     The entries are read as one exponent array and one value array.  An
-    error names, in this order, an exponent that is not an integer, a value
-    that is not a number, a count other than the simplex size, the first
-    exponent outside the simplex, and the first that repeats an earlier one.
+    error names, in this order, values that are not a list of {"exp": [...],
+    "s": ...} entries, an exponent that is not an integer, a value that is
+    not a number, a count other than the simplex size, the first exponent
+    outside the simplex, and the first that repeats an earlier one.
     """
     if not isinstance(data, dict) or not {"n", "max_degree", "values"} <= set(data):
         raise ValueError('moment JSON must be {"n": .., "max_degree": .., "values": [..]}')
     n = integer_field(data["n"], "n")
     max_degree = integer_field(data["max_degree"], "max_degree")
-    entries = data["values"]
-    exps, exponents = exponent_array([entry["exp"] for entry in entries], n)
-    values = [number_field(entry["s"], "moment value") for entry in entries]
+    rows, values = entry_fields(data["values"], "values", "s")
+    exps, exponents = exponent_array(rows, n)
+    values = [number_field(value, "moment value") for value in values]
     _check_simplex_count(n, max_degree, len(exps))  # before the simplex index is built
     order, ranked, repeat = grlex_sort(exponents)
     if not np.array_equal(ranked, simplex_index(n, max_degree)):
@@ -172,7 +174,6 @@ def is_psd_functional(s: MomentSequence, d: int, tol: float | None = None) -> bo
 @dataclass(frozen=True)
 class GeneratorCheck:
     label: str
-    generator: Polynomial
     min_eigenvalue: float
     passed: bool
 
@@ -205,7 +206,7 @@ def check_quadratic_module(
     checks = []
     for label, g in labelled:
         eig, passed = psd_verdict(localized_moment_matrix(s, g, d), tol)
-        checks.append(GeneratorCheck(label, g, eig, passed))
+        checks.append(GeneratorCheck(label, eig, passed))
     return QuadraticModuleReport(
         degree=d,
         ball_bound=float(ball_bound),

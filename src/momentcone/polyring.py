@@ -9,9 +9,10 @@ difference and product pass through it, while the maps that keep the rows
 only drop zeros.  ``terms`` is a read-only map derived from the two arrays.
 
 The truncated square root (sqrt_coefficients) and square (truncated_square)
-run on dense graded-lex vectors, with products from np.bincount over pair
-tables cached per (n, degree) that list each coefficient's pairs in the
-order poly_mul sums them, so every coefficient rounds as in poly_mul.
+run on dense graded-lex vectors, with products summed by np.bincount in the
+order poly_mul sums them (the square's bins read from the Hankel table
+shift_table(n, d, d), the root's from a pair table cached per degree), so
+every coefficient rounds as in poly_mul.
 """
 
 from __future__ import annotations
@@ -419,16 +420,6 @@ def _sqrt_pairs(n: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _read_only(a, b, bins)
 
 
-@functools.lru_cache(maxsize=64)
-def _square_pairs(n: int, degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # The ranks (a, b) of h * h with |a| + |b| <= degree, a ascending, and the
-    # rank of a + b.
-    exponents = simplex_index(n, degree)
-    total = exponents.sum(axis=1)
-    a, b = np.nonzero(total[:, None] + total[None, :] <= degree)
-    return _read_only(a, b, grlex_rank(exponents[a] + exponents[b]))
-
-
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     for array in arrays:
         array.setflags(write=False)
@@ -457,14 +448,20 @@ def sqrt_coefficients(f: np.ndarray, n: int, max_degree: int) -> np.ndarray:
 
 
 def truncated_square(h: np.ndarray, n: int, degree: int) -> np.ndarray:
-    """The coefficients of degree <= degree of h * h, for a graded-lex vector h,
-    rounded exactly as poly_mul rounds them."""
+    """The coefficients of degree <= degree of h * h for a graded-lex vector h, or
+    for each row of a stack of them, rounded as poly_mul rounds them: the Gram
+    map of h h^T at the pairs |a| + |b| <= degree, one np.bincount in all."""
     size = simplex_size(n, degree)
-    if len(h) < size:
-        h = np.concatenate([h, np.zeros(size - len(h))])
-    a, b, where = _square_pairs(n, degree)
+    stack = np.zeros((*h.shape[:-1], size))  # cut or zero-padded to the simplex
+    stack[..., : h.shape[-1]] = h[..., :size]
+    stack = np.atleast_2d(stack).T
+    table = shift_table(n, degree, degree)
+    a, b = np.nonzero(table < size)  # a ascending, then b: the order poly_mul sums in
+    rows = stack.shape[1]  # row r of the stack fills the bins rank * rows + r
+    bins = (table[a, b, None] * rows + np.arange(rows)).ravel()
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.bincount(where, h[a] * h[b], size)
+        squares = np.bincount(bins, (stack[a] * stack[b]).ravel(), size * rows).reshape(size, rows)
+    return squares.T if h.ndim == 2 else squares[:, 0]
 
 
 def series_sqrt(f: Polynomial, max_degree: int) -> Polynomial:
@@ -505,6 +502,17 @@ def number_field(value, name: str) -> float:
     return float(value)
 
 
+def entry_fields(entries, name: str, key: str) -> tuple[list, list]:
+    """The "exp" lists and key fields of a JSON list of {"exp": [...], key: ...} entries."""
+    try:
+        rows, values = [entry["exp"] for entry in entries], [entry[key] for entry in entries]
+    except (TypeError, KeyError):  # not a list, or an entry not an object or without a field
+        rows = [None]  # fails the list check below
+    if isinstance(entries, (list, tuple)) and set(map(type, rows)) <= {list, tuple}:
+        return rows, values
+    raise ValueError(f'{name} must be a list of {{"exp": [...], "{key}": number}}')
+
+
 def poly_from_dict(data: dict) -> Polynomial:
     """Parse the JSON polynomial format, read as an exponent array and a
     coefficient array: entries in any order, each exponent once (the first
@@ -512,11 +520,8 @@ def poly_from_dict(data: dict) -> Polynomial:
     if not isinstance(data, dict) or "n" not in data or "terms" not in data:
         raise ValueError('polynomial JSON must be {"n": int, "terms": [...]}')
     n = integer_field(data["n"], "n")
-    terms = data["terms"]
-    if not isinstance(terms, (list, tuple)):
-        raise ValueError('terms must be a list of {"exp": [...], "coef": number}')
-    rows = [entry["exp"] for entry in terms]
-    exponents, coefs = _checked(n, rows, [number_field(entry["coef"], "coef") for entry in terms])
+    rows, values = entry_fields(data["terms"], "terms", "coef")
+    exponents, coefs = _checked(n, rows, [number_field(value, "coef") for value in values])
     order, ranked, repeat = grlex_sort(exponents)
     if np.count_nonzero(repeat):
         raise ValueError(f"duplicate exponent {exponents[order[1:][repeat].min()].tolist()}")

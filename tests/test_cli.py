@@ -154,6 +154,19 @@ class TestNormCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: terms must be a list")
 
+    @pytest.mark.parametrize(
+        "terms",
+        [[1], [{"exp": [2]}], [{"coef": 1.0}], [{"exp": 1, "coef": 1.0}]],
+        ids=["entry-not-an-object", "no-coef", "no-exp", "exp-not-a-list"],
+    )
+    def test_term_of_the_wrong_shape_exit_one(self, terms, tmp_path, capsys):
+        path = tmp_path / "poly.json"
+        path.write_text(json.dumps({"n": 1, "terms": terms}))
+        assert main(["norm", "--f", str(path), "--p", "1", "--r", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == 'error: terms must be a list of {"exp": [...], "coef": number}\n'
+
 
 class TestEvalContCommand:
     def test_continuous_point(self, workdir, capsys):
@@ -244,6 +257,20 @@ class TestPsdCheckCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: moment value ")
         assert captured.err.rstrip().endswith("is not a number")
+
+    @pytest.mark.parametrize(
+        "values",
+        [{"exp": [0], "s": 1.0}, [1, 2], 5, [{"exp": 0, "s": 1.0}], [{"exp": [0]}]],
+        ids=["object", "entries-not-objects", "number", "exp-not-a-list", "no-s"],
+    )
+    def test_entry_of_the_wrong_shape_exit_one(self, values, tmp_path, capsys):
+        # the shape is checked before any exponent or value is read
+        path = tmp_path / "moments.json"
+        path.write_text(json.dumps({"n": 1, "max_degree": 0, "values": values}))
+        assert main(["psd-check", "--moments", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == 'error: values must be a list of {"exp": [...], "s": number}\n'
 
     def test_fractional_max_degree_exit_one(self, tmp_path, capsys):
         path = tmp_path / "moments.json"

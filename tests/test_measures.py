@@ -25,7 +25,7 @@ from momentcone import (
     poly_eval,
     recover_measure,
 )
-from momentcone.measures import _nnls, grid_points
+from momentcone.measures import _flat_measure, _nnls, grid_points
 from conftest import random_sparse_poly
 
 UNIT_BOX = BoxSpec((-1.0,), (1.0,))
@@ -342,6 +342,18 @@ class TestFlatRecovery:
         result = recover_measure(INDEFINITE, UNIT_BOX, 41)
         assert result.method == "grid"
         assert not result.success
+
+    @pytest.mark.parametrize(
+        "values",
+        [[1.0, 0.5], [1.0, 0.5, 0.25, -100.0]],
+        ids=["degree-below-two", "negative-weight"],
+    )
+    def test_unextractable_flat_moments_take_the_grid(self, values):
+        # max_degree 1 leaves no M_{d-1} (d = 0); the cubic moment -100 makes
+        # the least-squares weight of an extracted atom negative
+        s = MomentSequence(1, len(values) - 1, values)
+        assert _flat_measure(s) is None
+        assert recover_measure(s, UNIT_BOX, 41).method == "grid"
 
 
 class TestConsistencyWithPsdChecks:

@@ -333,9 +333,14 @@ class TestDenseRounding:
     @settings(max_examples=100, deadline=None)
     @given(low_degree_poly(st.floats(min_value=-10, max_value=10)), st.integers(0, 8))
     def test_truncated_square_matches_poly_mul(self, h, degree):
-        got = truncated_square(dense_coefficients(h, 4), h.n, degree)
+        vector = dense_coefficients(h, 4)
+        got = truncated_square(vector, h.n, degree)
         square = poly_mul(h, h)
         assert got.tolist() == [square.coefficient(a) for a in iter_simplex(h.n, degree)]
+        # a stack is squared row by row, bit for bit
+        stacked = truncated_square(np.stack([vector, -3.0 * vector]), h.n, degree)
+        negated = truncated_square(-3.0 * vector, h.n, degree)
+        assert stacked.tolist() == [got.tolist(), negated.tolist()]
 
     def test_overflow_names_a_coefficient(self):
         with pytest.raises(ValueError, match=r"at \(\d+,\) is not finite"):

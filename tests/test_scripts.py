@@ -1,10 +1,13 @@
-"""The demo scripts run end to end and print their headline lines."""
+"""The demo scripts run end to end and print their headline lines, and the
+README's Library example runs as written."""
 
+import re
 import runpy
 import sys
 from pathlib import Path
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
 
 
 def run_script(name, monkeypatch, capsys) -> list[str]:
@@ -32,3 +35,11 @@ def test_pipeline_demo(monkeypatch, capsys):
     assert lines[5] == "  dual-norm profile by degree: [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]"
     assert lines[6] == "  hypothesis growing: True, psd: True"
     assert lines[7].startswith("  recovery: success=False ")
+
+
+def test_readme_library_example():
+    # the one python block of README.md; its asserts are the checks
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})

@@ -2,12 +2,13 @@
 (package __init__ re-exports and __future__ imports are exempt), no line is
 longer than 100 characters, no module under src/ imports a private
 (underscore) name from another module of the package or imports scipy, and
-no module under src/ but polyring reads a polynomial's terms map, calls
-object.__new__ or calls grlex_rank on a sum (rank tables of exponent sums
-are built once, in polyring's cached layer), and every name the package
-exports is read outside its own definition by another src/ module, a file
-under scripts/, README.md or tests/test_acceptance.py (apply_functional,
-kept for l(q) of a separating witness, is the one exception)."""
+no module under src/ but polyring reads a polynomial's terms map or calls
+object.__new__, no function under src/ but polyring.shift_table and
+polyring._sqrt_pairs calls grlex_rank on a sum (every exponent sum is
+ranked once, in a cached rank table), and every name the package exports
+is read outside its own definition by another src/ module, a file under
+scripts/, README.md or tests/test_acceptance.py (apply_functional, kept
+for l(q) of a separating witness, is the one exception)."""
 
 import ast
 import re
@@ -138,37 +139,55 @@ def test_no_scipy_under_src():
 
 
 def rank_of_sum_calls(path: Path) -> list[str]:
+    # grlex_rank calls on a sum, except inside polyring's two cached rank
+    # tables: shift_table and _sqrt_pairs, whose pairs |a| + |b| = d would
+    # need a dense size(n, d - 1)^2 table per degree d
     tree = ast.parse(path.read_text(encoding="utf-8"))
+    exempt = {
+        id(inner)
+        for node in ast.walk(tree)
+        if path.name == "polyring.py"
+        and isinstance(node, ast.FunctionDef)
+        and node.name in ("shift_table", "_sqrt_pairs")
+        for inner in ast.walk(node)
+    }
     return [
         f"grlex_rank of a sum (line {node.lineno})"
         for node in ast.walk(tree)
         if isinstance(node, ast.Call)
+        and id(node) not in exempt
         and getattr(node.func, "id", getattr(node.func, "attr", None)) == "grlex_rank"
         and any(isinstance(arg, ast.BinOp) for arg in node.args)
     ]
 
 
 def test_rank_of_sum_calls_found(tmp_path):
-    probe = tmp_path / "probe.py"
-    probe.write_text(
+    calls = (
         "grlex_rank(a + b)\npolyring.grlex_rank(a[:, None] + c)\ngrlex_rank(a)\nrank(a + b)\n"
+        "def shift_table(n):\n    return grlex_rank(a + b)\n"
+        "def _sqrt_pairs(n):\n    return grlex_rank(a + b)\n"
+        "def truncated_square(n):\n    return grlex_rank(a + b)\n"
     )
-    assert rank_of_sum_calls(probe) == [
-        "grlex_rank of a sum (line 1)",
-        "grlex_rank of a sum (line 2)",
-    ]
+    flagged = [f"grlex_rank of a sum (line {line})" for line in (1, 2, 6, 8, 10)]
+    probe = tmp_path / "probe.py"
+    probe.write_text(calls)
+    assert rank_of_sum_calls(probe) == flagged
+    # in polyring only shift_table and _sqrt_pairs may rank a sum: another
+    # function there is flagged
+    (tmp_path / "polyring.py").write_text(calls)
+    assert rank_of_sum_calls(tmp_path / "polyring.py") == flagged[:2] + flagged[4:]
 
 
 def test_rank_tables_stay_in_polyring():
-    # a moment-side gather reads a cached table (simplex_index, shift_table)
-    # instead of ranking an exponent sum table on every call
+    # every product and moment-side gather reads a cached table (simplex_index,
+    # shift_table) instead of ranking an exponent sum table of its own
     found = [
         f"{path.relative_to(ROOT)}: {item}"
         for path in FILES
-        if path.is_relative_to(ROOT / "src") and path.name != "polyring.py"
+        if path.is_relative_to(ROOT / "src")
         for item in rank_of_sum_calls(path)
     ]
-    assert not found, "exponent sums ranked outside polyring:\n" + "\n".join(found)
+    assert not found, "exponent sums ranked outside the rank tables:\n" + "\n".join(found)
 
 
 # exported names with no reader yet, each kept for a planned use
