@@ -4,10 +4,15 @@ Subcommands map one-to-one onto the library pipelines and exchange JSON files
 throughout.  Output is deterministic: fixed key order, floats
 rendered with 17 significant digits so every value round-trips exactly.
 
-Each subcommand returns its report text and whether its checks passed; main
-alone writes the text and sets the exit code: 0 when all requested checks
-pass, 2 when a check fails, 1 for usage errors, I/O or parse errors and for
-numeric flags that are not finite or out of range.
+main parses a job with its subcommand's own parser when argv starts with a
+subcommand name and that parser consumes every argument; any other argv goes
+through the whole argparse tree, so usage, help and error texts are
+argparse's own.  Each subcommand returns its report text and whether its
+checks passed; a JSON report is written as string pieces into one list and
+joined once (render_json).  main alone writes the text and sets the exit
+code: 0 when all requested checks pass, 2 when a check fails, 1 for usage
+errors, I/O or parse errors and for numeric flags that are not numbers, not
+finite or out of range.
 """
 
 from __future__ import annotations
@@ -37,17 +42,21 @@ from .moments import (
     moments_to_dict,
     psd_verdict,
 )
-from .norms import WeightSpec, eval_sequence_norm, weighted_norm
+from .norms import WeightSpec, as_exponent, eval_sequence_norm, weighted_norm
 from .polyring import poly_from_dict, poly_to_dict
 
 
 _SPECIAL_FLOATS = {"inf": '"+inf"', "-inf": '"-inf"', "nan": '"nan"'}
 
 
+def _render_float(value: float) -> str:
+    text = "%.17g" % value
+    return _SPECIAL_FLOATS.get(text, text)
+
+
 def _render_scalar(value) -> str:
     if isinstance(value, float):
-        text = format(value, ".17g")
-        return _SPECIAL_FLOATS.get(text, text)
+        return _render_float(value)
     if isinstance(value, bool) or value is None:
         return json.dumps(value)
     if isinstance(value, int):
@@ -57,36 +66,69 @@ def _render_scalar(value) -> str:
     raise TypeError(f"cannot render {type(value)!r}")
 
 
+# Renderers by exact type; any other type (a numpy scalar, a subclass) goes
+# through _render_scalar, so it renders as it always has.
+_SCALARS = {
+    float: _render_float,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda value: "null",
+    str: encode_basestring_ascii,
+}
+
+
 def render_json(obj) -> str:
     """Deterministic JSON with floats at 17 significant digits.
 
     Infinite values become the strings "+inf"/"-inf" since JSON has no
-    number for them.  A list of scalars is rendered in one join; keys are
-    quoted by the function json.dumps uses for a string.
+    number for them.  The report is written as string pieces into one list
+    and joined once; a list of scalars is one piece, rendered in one join.
+    Keys and strings are quoted by the function json.dumps uses for a string.
     """
+    out: list[str] = []
+    append = out.append
+    scalars = _SCALARS.get
 
-    def emit(value, indent: int) -> str:
+    def emit(value, indent: str) -> None:
         if isinstance(value, dict):
             if not value:
-                return "{}"
-            inner = "  " * (indent + 1)
-            body = ",\n".join(
-                f"{inner}{encode_basestring_ascii(str(k))}: {emit(v, indent + 1)}"
-                for k, v in value.items()
-            )
-            return "{\n" + body + "\n" + "  " * indent + "}"
-        if isinstance(value, (list, tuple)):
+                append("{}")
+                return
+            inner = indent + "  "
+            sep, comma = "{\n" + inner, ",\n" + inner
+            for k, v in value.items():
+                render = scalars(type(v))
+                if render is not None:
+                    append(f"{sep}{encode_basestring_ascii(str(k))}: {render(v)}")
+                else:
+                    append(f"{sep}{encode_basestring_ascii(str(k))}: ")
+                    emit(v, inner)
+                sep = comma
+            append("\n" + indent + "}")
+        elif isinstance(value, (list, tuple)):
             if not value:
-                return "[]"
-            inner = "  " * (indent + 1)
+                append("[]")
+                return
+            inner = indent + "  "
+            comma = ",\n" + inner
             try:
-                items = [_render_scalar(v) for v in value]
+                items = [r(v) if (r := scalars(type(v))) else _render_scalar(v) for v in value]
             except TypeError:  # a nested container: render item by item
-                items = [emit(v, indent + 1) for v in value]
-            return "[\n" + inner + (",\n" + inner).join(items) + "\n" + "  " * indent + "]"
-        return _render_scalar(value)
+                sep = "[\n" + inner
+                for v in value:
+                    append(sep)
+                    emit(v, inner)
+                    sep = comma
+            else:
+                append("[\n" + inner + comma.join(items))
+            append("\n" + indent + "]")
+        else:
+            render = scalars(type(value))
+            append(render(value) if render is not None else _render_scalar(value))
 
-    return emit(obj, 0) + "\n"
+    emit(obj, "")
+    append("\n")
+    return "".join(out)
 
 
 def format_norm(value: float) -> str:
@@ -102,9 +144,20 @@ def _tolerance(value: float | None) -> float | None:
     return value
 
 
+def _flag_floats(text: str, flag: str) -> tuple[float, ...]:
+    """The comma-separated numbers of a flag, or an error that names it."""
+    try:
+        return tuple(float(v) for v in str(text).split(","))
+    except ValueError:
+        raise ValueError(f"{flag} must be comma-separated numbers, got {text!r}") from None
+
+
 def _parse_weight(args) -> WeightSpec:
-    r = tuple(float(v) for v in str(args.r).split(","))
-    return WeightSpec(args.p, r)
+    try:
+        p = as_exponent(args.p)
+    except ValueError:
+        raise ValueError(f"--p must be a number or inf, got {args.p!r}") from None
+    return WeightSpec(p, _flag_floats(args.r, "--r"))
 
 
 def _finite_float(text: str) -> float:
@@ -155,7 +208,9 @@ def _cmd_norm(args) -> tuple[str, bool]:
 
 def _cmd_eval_cont(args) -> tuple[str, bool]:
     w = _parse_weight(args)
-    x = tuple(_finite_float(v) for v in str(args.x).split(","))
+    x = _flag_floats(args.x, "--x")
+    if not all(map(math.isfinite, x)):
+        raise ValueError(f"--x must be finite, got {args.x!r}")
     value = eval_sequence_norm(x, w)
     continuous = math.isfinite(value)
     verdict = "continuous" if continuous else "not continuous"
@@ -171,6 +226,8 @@ def _cmd_psd_check(args) -> tuple[str, bool]:
 
 def _cmd_qm_check(args) -> tuple[str, bool]:
     tol = _tolerance(args.tol)
+    if not math.isfinite(args.N):
+        raise ValueError(f"--N must be finite, got {args.N}")
     s = moments_from_dict(_load_json(args.moments))
     generators = [poly_from_dict(_load_json(path)) for path in args.g]
     result = check_quadratic_module(s, generators, args.N, args.d, tol)
@@ -287,7 +344,8 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
-    """The argparse tree, built once per process: main parses every call with it."""
+    """The argparse tree, built once per process.  Its subcommand parsers are
+    kept by name in its `commands` attribute for main's direct parse."""
     parser = _Parser(
         prog="momentcone",
         description="Weighted sequence norms, moment-matrix PSD certification, "
@@ -374,11 +432,31 @@ def build_parser() -> argparse.ArgumentParser:
     add_out(p)
     p.set_defaults(func=_cmd_moments)
 
+    parser.commands = sub.choices
     return parser
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """The namespace build_parser().parse_args(argv) gives, mostly without
+    the top-level pass: a subcommand name followed by arguments that its own
+    parser consumes fully is parsed by that parser alone.  Everything else
+    (no argv, --version, --help, an unknown command, an unrecognized
+    argument) goes through the whole tree, so every usage, help and error
+    text is argparse's own.  An argument that starts with "--=" goes there
+    too: the top level reports it as ambiguous (--help or --version) before
+    any subcommand runs."""
+    parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None and not any(a.startswith("--=") for a in argv):
+        args, rest = command.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         text, passed = args.func(args)
         _emit(text, args.out)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple, Sequence
@@ -485,11 +486,10 @@ def poly_to_dict(f: Polynomial) -> dict:
 
 def integer_field(value, name: str) -> int:
     """A JSON number that must be an integer: 2.0 reads as 2; 1.9 is rejected,
-    not truncated, and so is true."""
-    out = int(value)
-    if out != value or isinstance(value, bool):
+    not truncated, and so are true, null, a string and a list."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or int(value) != value:
         raise ValueError(f"{name} {value!r} is not an integer")
-    return out
+    return int(value)
 
 
 def number_field(value, name: str) -> float:

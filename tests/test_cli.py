@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momentcone import (
     AtomicMeasure,
@@ -18,7 +20,7 @@ from momentcone import (
     moments_to_dict,
     poly_to_dict,
 )
-from momentcone.cli import main, render_json
+from momentcone.cli import build_parser, main, render_json
 
 HUGE_INT = "1" + "0" * 400  # a JSON integer too large for a float
 
@@ -145,6 +147,25 @@ class TestNormCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: coef ")
         assert captured.err.rstrip().endswith("is not a number")
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"n": None, "terms": []}, "n None is not an integer"),
+            ({"n": 1, "terms": [{"exp": [None], "coef": 1.0}]}, "exponent None is not an integer"),
+            ({"n": 1, "terms": [{"exp": [[1]], "coef": 1.0}]}, "exponent [1] is not an integer"),
+            ({"n": "x", "terms": []}, "n 'x' is not an integer"),
+        ],
+        ids=["null-dimension", "null-exponent", "list-exponent", "string-dimension"],
+    )
+    def test_integer_field_not_a_number_exit_one(self, data, message, tmp_path, capsys):
+        # the value is rejected before int() reads it, so the error names the field
+        path = tmp_path / "poly.json"
+        path.write_text(json.dumps(data))
+        assert main(["norm", "--f", str(path), "--p", "1", "--r", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_terms_not_a_list_exit_one(self, tmp_path, capsys):
         path = tmp_path / "poly.json"
@@ -282,6 +303,14 @@ class TestPsdCheckCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: max_degree 2.5")
+
+    def test_null_max_degree_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "moments.json"
+        path.write_text('{"n": 1, "max_degree": null, "values": [{"exp": [0], "s": 1.0}]}')
+        assert main(["psd-check", "--moments", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: max_degree None is not an integer\n"
 
     def test_one_eigensolve(self, workdir, capsys, monkeypatch):
         calls = []
@@ -693,6 +722,204 @@ def test_bad_numeric_flag_exit_one(argv, workdir, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["norm", "--f", "xsq", "--p", "abc", "--r", "1"],
+         "--p must be a number or inf, got 'abc'"),
+        (["norm", "--f", "xsq", "--p", "nan", "--r", "1"],
+         "--p must be a number or inf, got 'nan'"),
+        (["norm", "--f", "xsq", "--p", "1", "--r", "1,,2"],
+         "--r must be comma-separated numbers, got '1,,2'"),
+        (["eval-cont", "--p", "2", "--r", "1", "--x="],
+         "--x must be comma-separated numbers, got ''"),
+        (["eval-cont", "--p", "2", "--r", "1", "--x", "nan"], "--x must be finite, got 'nan'"),
+        (["qm-check", "--moments", "delta_half", "--N", "nan", "--d", "1"],
+         "--N must be finite, got nan"),
+        (["qm-check", "--moments", "delta_half", "--N", "inf", "--d", "1"],
+         "--N must be finite, got inf"),
+    ],
+    ids=["p-abc", "p-nan", "r-empty-part", "x-empty", "x-nan", "N-nan", "N-inf"],
+)
+def test_bad_numeric_flag_names_it(argv, message, workdir, capsys):
+    argv = [workdir.get(a, a) for a in argv]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def _render_json_oracle(obj) -> str:
+    """The recursive renderer render_json replaced: every dict and list joins
+    its own string.  Kept as the reference for the one-list renderer."""
+
+    def scalar(value) -> str:
+        if isinstance(value, float):
+            text = format(value, ".17g")
+            return {"inf": '"+inf"', "-inf": '"-inf"', "nan": '"nan"'}.get(text, text)
+        if isinstance(value, bool) or value is None:
+            return json.dumps(value)
+        if isinstance(value, int):
+            return str(value)
+        if isinstance(value, str):
+            return json.dumps(value)
+        raise TypeError(f"cannot render {type(value)!r}")
+
+    def emit(value, indent: int) -> str:
+        if isinstance(value, dict):
+            if not value:
+                return "{}"
+            inner = "  " * (indent + 1)
+            body = ",\n".join(
+                f"{inner}{json.dumps(str(k))}: {emit(v, indent + 1)}" for k, v in value.items()
+            )
+            return "{\n" + body + "\n" + "  " * indent + "}"
+        if isinstance(value, (list, tuple)):
+            if not value:
+                return "[]"
+            inner = "  " * (indent + 1)
+            try:
+                items = [scalar(v) for v in value]
+            except TypeError:
+                items = [emit(v, indent + 1) for v in value]
+            return "[\n" + inner + (",\n" + inner).join(items) + "\n" + "  " * indent + "]"
+        return scalar(value)
+
+    return emit(obj, 0) + "\n"
+
+
+def _rendered(render, payload):
+    try:
+        return render(payload)
+    except TypeError as exc:
+        return f"TypeError: {exc}"
+
+
+_JSON_LEAVES = st.one_of(
+    st.floats(),  # nan, +-inf, -0.0 and subnormals among them
+    st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 5e-324]),
+    st.integers(-(2**200), 2**200),
+    st.booleans(),
+    st.none(),
+    st.text(),  # non-ASCII included
+    st.floats().map(np.float64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),  # not renderable: both must raise
+)
+_JSON_PAYLOADS = st.recursive(
+    _JSON_LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(), children, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_PAYLOADS)
+def test_render_json_matches_recursive_oracle(payload):
+    assert _rendered(render_json, payload) == _rendered(_render_json_oracle, payload)
+
+
+# argvs that build_parser().parse_args must see: no subcommand first, an
+# argument the subcommand leaves unconsumed, or one the top level rejects
+_TREE_ARGVS = [
+    [],
+    [""],
+    ["bogus"],
+    ["nor"],
+    ["NORM"],
+    ["--version"],
+    ["--version", "norm"],
+    ["--help"],
+    ["-h", "norm"],
+    ["norm", "--f", "f.json", "--p", "1", "--r", "1", "--", "x"],
+    ["norm", "--f", "f.json", "--p", "1", "--r", "1", "--bogus", "3"],
+    ["norm", "--f", "f.json", "--p", "1", "--r", "1", "extra"],
+    ["norm", "--f", "f.json", "--p", "1", "--r", "1", "--version"],
+    ["norm", "--=x"],
+]
+# argvs whose subcommand parser exits on its own: help or a usage error
+_SUBCOMMAND_EXITS = [
+    ["norm"],
+    ["norm", "--", "x"],
+    ["norm", "--help"],
+    ["norm", "--f"],
+    ["norm", "--f", "f.json", "--p", "1", "--r", "1", "--out"],
+    ["psd-check", "--moments", "m.json", "--d", "x"],
+    ["eval-cont", "--x", "-0.5"],
+    ["qm-check", "--moments", "m.json", "--N", "1", "--d", "1", "--g"],
+    ["sos-approx", "--f", "f.json", "--p", "1", "--r", "1", "--eps", "0.1", "--dmax", "2",
+     "--max-iters", "x"],
+]
+# one valid argv per subcommand, with abbreviations, "=" forms and a negative number
+_VALID_ARGVS = [
+    ["norm", "--f=f.json", "--p", "1", "--r", "1,2"],
+    ["eval-cont", "--x", "-0.5", "--p", "2", "--r", "1"],
+    ["psd-check", "--moments", "m.json", "--d", "2", "--tol", "1e-9"],
+    ["qm-check", "--moments", "m.json", "--g", "a.json", "--g", "b.json", "--N", "1", "--d", "1"],
+    ["sqrt-approx", "--f", "f.json", "--i", "3", "--out", "o.txt"],
+    ["sos-approx", "--f", "f.json", "--p", "1", "--r", "1", "--eps", "0.1", "--dmax", "2",
+     "--max-it", "3"],
+    ["recover-measure", "--moments", "m.json", "--p", "inf", "--r", "1", "--grid=11"],
+    ["pipeline", "--moments", "m.json", "--p", "2", "--r", "1", "--d", "1"],
+    ["moments", "--measure", "mu.json", "--degree", "4", "--o", "o.txt"],
+]
+
+
+def _outcome(call, capsys):
+    try:
+        code = call()
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, through_tree",
+    [(argv, True) for argv in _TREE_ARGVS] + [(argv, False) for argv in _SUBCOMMAND_EXITS],
+    ids=lambda value: " ".join(value) if isinstance(value, list) else None,
+)
+def test_usage_output_matches_the_whole_tree(argv, through_tree, capsys, monkeypatch):
+    parser = build_parser()
+    expected = _outcome(lambda: parser.parse_args(argv), capsys)
+    seen = []
+
+    def spy(args):
+        seen.append(list(args))
+        return type(parser).parse_args(parser, args)
+
+    monkeypatch.setattr(parser, "parse_args", spy)
+    assert _outcome(lambda: main(argv), capsys) == expected
+    assert expected[0] in (0, 1)
+    assert seen == ([argv] if through_tree else [])
+
+
+@pytest.mark.parametrize("argv", _VALID_ARGVS, ids=lambda argv: argv[0])
+def test_subcommand_receives_the_whole_tree_namespace(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    parser = build_parser()
+    command = parser.commands[argv[0]]
+    received = []
+
+    def run(args):
+        received.append(vars(args))
+        return "", True
+
+    original = command.get_default("func")
+    command.set_defaults(func=run)
+    try:
+        expected = vars(parser.parse_args(argv))
+        monkeypatch.setattr(parser, "parse_args", None)  # main must not need the top level
+        assert main(argv) == 0
+    finally:
+        command.set_defaults(func=original)
+    assert received[0].pop("command") == expected.pop("command") == argv[0]
+    assert received == [expected]
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded(workdir):
