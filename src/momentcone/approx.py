@@ -10,6 +10,7 @@ as dense graded-lex vectors, which poly_from_vector turns into Polynomials.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .measures import BoxSpec, box_from_weight
-from .norms import WeightSpec, weighted_norm
+from .norms import WeightSpec, lp_norms
 from .polyring import (
     MultiIndex,
     Polynomial,
@@ -29,8 +30,6 @@ from .polyring import (
     poly_add,
     poly_eval,
     poly_from_vector,
-    poly_scale,
-    poly_sub,
     series_sqrt,
     shift_table,
     simplex_index,
@@ -68,36 +67,32 @@ def coefficientwise_report(f: Polynomial, i_max: int) -> tuple[Polynomial, list[
     |a| <= deg f for i = 1..i_max.
 
     Once i >= deg f the only deviation left is the constant shift, so the
-    error is exactly 1/i from then on.  Each h_i is computed on a dense
-    graded-lex vector (sqrt_coefficients, the same roundings as
+    error is exactly 1/i from then on.  h_{i_max}, ..., h_1 are the rows of
+    one stacked recurrence on dense graded-lex vectors (sqrt_coefficients,
+    row k live up to degree i_max - k, the same roundings as
     sqrt_square_approx), and only the coefficients of h_i^2 up to deg f are
     formed, all i in one np.bincount over the cached Hankel table
     (truncated_square): the report reads nothing above deg f, so a square
     that overflows only there still gets a row.  An h_i or a truncated
-    square that is not finite is an error, the first in largest-i order.
+    square that is not finite is an error, the first in largest-i order (h_i
+    before its square).
     """
     _check_index(f, i_max)
     region = max(f.degree, 0)
     size = simplex_size(f.n, region)
     coefficients = dense_coefficients(f, max(region, i_max))
-    stack = np.zeros((i_max, size))  # the finite h_i up to deg f, largest i first
-    for k, i in enumerate(range(i_max, 0, -1)):  # largest i first: it overflows first
-        shifted = coefficients[: simplex_size(f.n, i)].copy()
-        shifted[0] += 1.0 / i
-        h = sqrt_coefficients(shifted, f.n, i)
-        if not np.isfinite(h).all():
-            stack = stack[:k]
-            break
-        if i == i_max:
-            h_max = poly_from_vector(f.n, i, h)
-        stack[k, : len(h)] = h[:size]
-    # every square in one np.bincount; a square's error comes before that of
-    # the next h_i, the one that ended the loop (check_finite passes h_1)
-    squares = truncated_square(stack, f.n, region)
+    shifted = np.tile(coefficients[: simplex_size(f.n, i_max)], (i_max, 1))
+    shifted[:, 0] += 1.0 / np.arange(i_max, 0, -1)  # row k: 1/i + f, i = i_max - k
+    h = sqrt_coefficients(shifted, f.n, i_max)
+    finite = np.isfinite(h).all(axis=1)
+    live = int(np.argmin(finite)) if np.count_nonzero(finite) < i_max else i_max
+    squares = truncated_square(h[:live], f.n, region)  # one row per h_i above the first not finite
     for square in squares:
         check_finite(square, f.n, region)
-    check_finite(h, f.n, i)
-    return h_max, np.max(np.abs(squares - coefficients[:size]), axis=1)[::-1].tolist()
+    if live < i_max:  # row live holds h_i, i = i_max - live, and zeros above degree i
+        check_finite(h[live], f.n, i_max)
+    errors = np.max(np.abs(squares - coefficients[:size]), axis=1)[::-1].tolist()
+    return poly_from_vector(f.n, i_max, h[0]), errors
 
 
 @dataclass(frozen=True)
@@ -326,6 +321,14 @@ def square_perturbation(n: int, depth: int) -> Polynomial:
     return Polynomial(n, (powers.reshape(-1, n)[n - 1:], coefs[n - 1:]))  # one constant row
 
 
+@functools.lru_cache(maxsize=64)
+def _perturbation_vector(n: int, depth: int, degree: int) -> np.ndarray:
+    """The read-only graded-lex vector of square_perturbation(n, depth) up to degree."""
+    vector = dense_coefficients(square_perturbation(n, depth), degree)
+    vector.setflags(write=False)
+    return vector
+
+
 @dataclass(frozen=True)
 class BoxApproxResult:
     reason: str  # "certified" | "negative-on-box" | "inconclusive"
@@ -389,6 +392,34 @@ def _polish(f: Polynomial, point: np.ndarray, half: np.ndarray):
     return tuple(x.tolist()), value
 
 
+@functools.lru_cache(maxsize=64)
+def _bernstein_tables(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The read-only float tables of an axis of degree d: to_bernstein.T,
+    halving and at_greville.
+
+    to_bernstein[j, k], the j-th Bernstein coefficient of u^k on [-1, 1], is
+    the Krawtchouk value K_k(d - j) / C(d, k), with K_k in exact integers
+    from the recurrence (k + 1) K_{k+1}(x) = (d - 2x) K_k(x) - (d - k + 1)
+    K_{k-1}(x).  halving maps the coefficients on an interval to those on
+    its left half, then its right half (de Casteljau at the midpoint,
+    left[j, k] = C(j, k) / 2^j).  at_greville[j, k] is the k-th Bernstein
+    polynomial of degree d at j / d.
+    """
+    x = np.arange(d, -1, -1, dtype=object)  # d - j for j = 0..d
+    columns = [np.ones(d + 1, dtype=object), d - 2 * x]
+    for k in range(1, d):
+        columns.append(((d - 2 * x) * columns[k] - (d - k + 1) * columns[k - 1]) // (k + 1))
+    to_bernstein = np.array([col / math.comb(d, k) for k, col in enumerate(columns[: d + 1])])
+    left = np.array([[math.comb(j, k) / 2**j for k in range(d + 1)] for j in range(d + 1)])
+    t, k = np.arange(d + 1)[:, None] / max(d, 1), np.arange(d + 1)
+    binomials = np.array([math.comb(d, j) for j in range(d + 1)], dtype=float)
+    at_greville = binomials * t**k * (1.0 - t) ** (d - k)
+    tables = (to_bernstein.T.astype(float), np.vstack([left, left[::-1, ::-1]]), at_greville)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
 def bracket_box_minimum(f: Polynomial, box: BoxSpec, threshold: float = math.inf):
     """(lower, upper, point, entries, stop) with lower <= min_K f <= upper =
     poly_eval(f, point), point in the box K, by tensor Bernstein subdivision.
@@ -398,7 +429,10 @@ def bracket_box_minimum(f: Polynomial, box: BoxSpec, threshold: float = math.inf
     (Garloff 1986).  Each level halves every sub-box left along the next
     axis that f depends on, in turn (de Casteljau), keeping a sub-box only
     while its least coefficient is below both threshold and the best corner
-    value minus 1e-9; a level's sub-boxes are one stacked array.  lower is
+    value minus 1e-9; a level's sub-boxes are one stacked array, whose split
+    axis is moved last and back by transposes fixed once per call.  The
+    float tables of each axis are read from a cache keyed by its degree
+    (_bernstein_tables).  lower is
     the least coefficient left (a Handelman certificate of f >= lower on K),
     and entries counts the coefficients formed.  stop is "closed" when no
     sub-box is left, and then upper - lower <= 1e-9 or lower >= threshold,
@@ -422,25 +456,16 @@ def bracket_box_minimum(f: Polynomial, box: BoxSpec, threshold: float = math.inf
         return -math.inf, upper, point, 0, "budget"
     coefs = np.zeros(degrees + 1)
     coefs[tuple(f.exponents.T)] = f.coefs
-    halving = []  # per axis
-    for i, d in enumerate(map(int, degrees)):
-        # to_bernstein[j, k], the j-th Bernstein coefficient of u^k on [-1, 1], is the
-        # Krawtchouk value K_k(d - j) / C(d, k), with K_k in exact integers from the
-        # recurrence (k + 1) K_{k+1}(x) = (d - 2x) K_k(x) - (d - k + 1) K_{k-1}(x).
-        # halving maps the coefficients on an interval to those on its left half,
-        # then its right half (de Casteljau at the midpoint, left[j, k] = C(j, k) / 2^j).
-        x = np.arange(d, -1, -1, dtype=object)  # d - j for j = 0..d
-        columns = [np.ones(d + 1, dtype=object), d - 2 * x]
-        for k in range(1, d):
-            columns.append(((d - 2 * x) * columns[k] - (d - k + 1) * columns[k - 1]) // (k + 1))
-        to_bernstein = np.array([col / math.comb(d, k) for k, col in enumerate(columns[: d + 1])])
+    to_bernstein_t, halving, at_greville = zip(*map(_bernstein_tables, degrees.tolist()))
+    for i, table in enumerate(to_bernstein_t):
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            scaled = to_bernstein.T.astype(float) * half[i] ** np.arange(d + 1)
+            scaled = table * half[i] ** np.arange(len(table))
             coefs = np.moveaxis(np.tensordot(scaled, coefs, axes=(1, i)), 0, i)
-        left = np.array([[math.comb(j, k) / 2**j for k in range(d + 1)] for j in range(d + 1)])
-        halving.append(np.vstack([left, left[::-1, ::-1]]))
     if not np.isfinite(coefs).all():
         raise ValueError("coefficients too large for the box screen")
+    # a stack's axis i + 1 moved last and back: the views np.moveaxis returns
+    last = [(*range(i + 1), *range(i + 2, n + 1), i + 1) for i in range(n)]
+    back = [(*range(i + 1), n, *range(i + 1, n)) for i in range(n)]
     bits = np.indices((2,) * n).reshape(n, -1).T  # corner offsets, in widths
     corner_at = np.ravel_multi_index(tuple((bits * degrees).T), coefs.shape)
     stack, lows, width = coefs[None], np.zeros((1, n)), np.ones(n)  # in t = (x/c + 1) / 2
@@ -462,20 +487,16 @@ def bracket_box_minimum(f: Polynomial, box: BoxSpec, threshold: float = math.inf
         stack, lows = stack[keep], lows[keep]
         axis = next(axes)
         d = int(degrees[axis])
-        halves = np.moveaxis(stack, axis + 1, -1) @ halving[axis].T
+        halves = stack.transpose(last[axis]) @ halving[axis].T
         halves = np.concatenate([halves[..., : d + 1], halves[..., d + 1:]])  # left, then right
-        stack = np.moveaxis(halves, -1, axis + 1)
+        stack = halves.transpose(back[axis])
         width[axis] /= 2.0
         lows = np.concatenate([lows, lows + unit[axis] * width[axis]])
         entries += stack.size
     if kept:  # a budget stop: evaluate the Bernstein form at the Greville points
         values = stack[keep]
-        for i, d in enumerate(map(int, degrees)):
-            # at_greville[j, k] is the k-th Bernstein polynomial of degree d at j / d
-            t, k = np.arange(d + 1)[:, None] / max(d, 1), np.arange(d + 1)
-            binomials = np.array([math.comb(d, j) for j in range(d + 1)], dtype=float)
-            at_greville = binomials * t**k * (1.0 - t) ** (d - k)
-            values = np.moveaxis(np.moveaxis(values, i + 1, -1) @ at_greville.T, -1, i + 1)
+        for i, table in enumerate(at_greville):
+            values = (values.transpose(last[i]) @ table.T).transpose(back[i])
         k = int(np.argmin(values))
         if values.flat[k] < best:
             box_at, j = divmod(k, coefs.size)
@@ -519,9 +540,14 @@ def box_sos_approx(
     A point of the box where f < -1e-9 (screen_box_nonnegativity) ends the
     run as "negative-on-box".  Otherwise it rescales the box of w to the unit
     cube, perturbs by eps times the even series tail (depth D = 2..d_max),
-    certifies the candidate, and maps the factors back.  The distance is the
-    unweighted lp norm of the gap f_unit - square_sum: the diagonal isometry
-    from the box of w to the unit cube makes the ||.||_{p,r} norm of the gap
+    certifies the candidate, and maps the factors back.  The candidate
+    f_unit + eps * theta_D is one dense graded-lex vector up to twice the
+    Gram degree, theta_D's read from a cache per (n, D, degree), handed to
+    sos_certify by poly_from_vector (which names an entry that is not
+    finite as poly_add would).  The
+    distance is the unweighted lp norm (lp_norms) of the dense gap f_unit -
+    square_sum, whose zeros add nothing to it: the diagonal isometry from
+    the box of w to the unit cube makes the ||.||_{p,r} norm of the gap
     mapped back to the box of w equal to it.
 
     Success needs f_unit + eps * theta_D to be a sum of squares on all of
@@ -548,16 +574,21 @@ def box_sos_approx(
     halfwidths = box.upper
     f_unit = axis_scale(f, halfwidths)
     inverse = tuple(1.0 / c for c in halfwidths)
-    unit_weight = WeightSpec(w.p, (1.0,) * w.n)
     last_certificate = None
     for depth in range(2, d_max + 1):
-        candidate = poly_add(f_unit, poly_scale(square_perturbation(f.n, depth), eps))
         gram_degree = max((max(f_unit.degree, 0) + 1) // 2, depth)
+        degree = 2 * gram_degree
+        unit = dense_coefficients(f_unit, degree)
+        with np.errstate(over="ignore"):  # an overflow is rejected as not finite
+            vector = unit + eps * _perturbation_vector(f.n, depth, degree)
+        candidate = poly_from_vector(f.n, degree, vector)
         certificate = sos_certify(candidate, gram_degree, tol=tol, max_iters=max_iters)
         last_certificate = certificate
         if certificate.success:
             factors = tuple(axis_scale(h, inverse) for h in certificate.factors)
-            distance = weighted_norm(poly_sub(f_unit, certificate.square_sum), unit_weight)
+            gap = unit - dense_coefficients(certificate.square_sum, degree)
+            ones, ends = (1.0,) * f.n, (len(gap),)
+            distance = lp_norms(simplex_index(f.n, degree), gap, ones, w.p, ends)[0]
             return BoxApproxResult("certified", eps, certificate, factors, distance, depth)
     return BoxApproxResult("inconclusive", eps, certificate=last_certificate)
 

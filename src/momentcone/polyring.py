@@ -9,10 +9,12 @@ difference and product pass through it, while the maps that keep the rows
 only drop zeros.  ``terms`` is a read-only map derived from the two arrays.
 
 The truncated square root (sqrt_coefficients) and square (truncated_square)
-run on dense graded-lex vectors, with products summed by np.bincount in the
-order poly_mul sums them (the square's bins read from the Hankel table
-shift_table(n, d, d), the root's from a pair table cached per degree), so
-every coefficient rounds as in poly_mul.
+run on dense graded-lex vectors, or on a stack of them with one np.bincount
+for all rows (per degree for the root, once for the square), with products
+summed in the order poly_mul sums them (the square's bins read from the
+Hankel table shift_table(n, d, d), the root's from a pair table cached per
+degree), so every coefficient rounds as in poly_mul, whatever the other
+rows of a stack hold.
 """
 
 from __future__ import annotations
@@ -429,23 +431,32 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 def sqrt_coefficients(f: np.ndarray, n: int, max_degree: int) -> np.ndarray:
     """The recurrence of series_sqrt on graded-lex vectors f (to at least
-    max_degree, f[0] > 0) and g.  Degree d sums its products g_j g_{d-j} by
-    np.bincount over a cached pair table, left factors by ascending rank as
-    poly_mul sums them, and np.subtract.reduce takes them from f_d in j order:
-    each coefficient rounds as g_d = (f_d - g_1 g_{d-1} - ... - g_{d-1} g_1)
-    * (1 / (2 g_0)) does.  An overflow leaves an entry that is not finite."""
-    g = np.zeros(simplex_size(n, max_degree))
-    g[0] = math.sqrt(f[0])
-    inv = 1.0 / (2.0 * g[0])
+    max_degree, f[0] > 0) and g, or on each row of a stack of them, row r
+    live up to degree max_degree - r (zeros above it).  Degree d sums the
+    products g_j g_{d-j} of every live row by one np.bincount over a cached
+    pair table, left factors by ascending rank as poly_mul sums them, and
+    np.subtract.reduce takes them from f_d in j order: each coefficient
+    rounds as g_d = (f_d - g_1 g_{d-1} - ... - g_{d-1} g_1) * (1 / (2 g_0))
+    does, whatever the other rows hold.  An overflow leaves an entry that is
+    not finite, in its own row only."""
+    stack = np.atleast_2d(f)
+    g = np.zeros((len(stack), simplex_size(n, max_degree)))
+    g[:, 0] = np.sqrt(stack[:, 0])
+    inv = 1.0 / (2.0 * g[:, :1])
     with np.errstate(over="ignore", invalid="ignore"):
         for d in range(1, max_degree + 1):
+            live = min(len(stack), max_degree + 1 - d)
             lo, hi = simplex_size(n, d - 1), simplex_size(n, d)
             a, b, where = _sqrt_pairs(n, d)
-            rows = np.bincount(where, g[a] * g[b], d * (hi - lo))
-            rows = rows.astype(float, copy=False).reshape(d, hi - lo)  # d = 1: no pairs, ints
-            rows[0] = f[lo:hi]
-            g[lo:hi] = np.subtract.reduce(rows, axis=0) * inv
-    return g
+            block = d * (hi - lo)  # row r fills the bins r * block + where
+            bins = (where + block * np.arange(live)[:, None]).ravel()
+            # np.take, unlike g[:live, a], gives C order, so ravel copies nothing
+            products = np.take(g[:live], a, axis=1) * np.take(g[:live], b, axis=1)
+            rows = np.bincount(bins, products.ravel(), live * block)
+            rows = rows.astype(float, copy=False).reshape(live, d, hi - lo)  # d = 1: no pairs, ints
+            rows[:, 0] = stack[:live, lo:hi]
+            g[:live, lo:hi] = np.subtract.reduce(rows, axis=1) * inv[:live]
+    return g if np.ndim(f) == 2 else g[0]
 
 
 def truncated_square(h: np.ndarray, n: int, degree: int) -> np.ndarray:

@@ -1,8 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from momentcone import (
@@ -28,7 +29,15 @@ from momentcone import (
 )
 import momentcone.approx as approx_module
 from momentcone.measures import BoxSpec
-from momentcone.polyring import monomial_values
+from momentcone.polyring import (
+    _sqrt_pairs,
+    check_finite,
+    dense_coefficients,
+    monomial_values,
+    poly_from_vector,
+    simplex_size,
+    truncated_square,
+)
 from conftest import random_sparse_poly
 
 X = Polynomial.variable(1, 0)
@@ -82,6 +91,70 @@ class TestSqrtSquareApprox:
                     assert abs(square.coefficient(alpha) - f.coefficient(alpha)) <= 1e-10
 
 
+def reference_sqrt(f, n, max_degree):
+    # The single-vector square-root recurrence that coefficientwise_report
+    # ran once per i before it stacked them: the reference for its rounding.
+    g = np.zeros(simplex_size(n, max_degree))
+    g[0] = math.sqrt(f[0])
+    inv = 1.0 / (2.0 * g[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for d in range(1, max_degree + 1):
+            lo, hi = simplex_size(n, d - 1), simplex_size(n, d)
+            a, b, where = _sqrt_pairs(n, d)
+            rows = np.bincount(where, g[a] * g[b], d * (hi - lo))
+            rows = rows.astype(float, copy=False).reshape(d, hi - lo)
+            rows[0] = f[lo:hi]
+            g[lo:hi] = np.subtract.reduce(rows, axis=0) * inv
+    return g
+
+
+def reference_report(f, i_max):
+    # coefficientwise_report as one recurrence per i, largest i first: the
+    # reference for its values, its errors and the order of its messages.
+    approx_module._check_index(f, i_max)
+    region = max(f.degree, 0)
+    size = simplex_size(f.n, region)
+    coefficients = dense_coefficients(f, max(region, i_max))
+    stack = np.zeros((i_max, size))
+    for k, i in enumerate(range(i_max, 0, -1)):
+        shifted = coefficients[: simplex_size(f.n, i)].copy()
+        shifted[0] += 1.0 / i
+        h = reference_sqrt(shifted, f.n, i)
+        if not np.isfinite(h).all():
+            stack = stack[:k]
+            break
+        if i == i_max:
+            h_max = poly_from_vector(f.n, i, h)
+        stack[k, : len(h)] = h[:size]
+    squares = truncated_square(stack, f.n, region)
+    for square in squares:
+        check_finite(square, f.n, region)
+    check_finite(h, f.n, i)
+    return h_max, np.max(np.abs(squares - coefficients[:size]), axis=1)[::-1].tolist()
+
+
+def report_outcome(report, f, i_max):
+    # (h's exponents and coefficients, the errors as reprs), or the ValueError text
+    try:
+        h, errors = report(f, i_max)
+    except ValueError as exc:
+        return str(exc)
+    return h.exponents.tolist(), h.coefs.tolist(), list(map(repr, errors))
+
+
+@st.composite
+def report_polynomials(draw):
+    # n 1-3, degree 0-6, f(0) >= 0; huge coefficients overflow some h_i or squares
+    n = draw(st.integers(1, 3))
+    degree = draw(st.integers(0, 6))
+    scale = draw(st.sampled_from([1.0, 1e50, 1e150]))
+    coef = st.floats(-scale, scale, allow_nan=False, allow_infinity=False)
+    exponents = list(iter_simplex(n, degree))[1:]
+    terms = draw(st.dictionaries(st.sampled_from(exponents), coef, max_size=8)) if exponents else {}
+    terms[(0,) * n] = draw(st.floats(0.0, 10.0))
+    return Polynomial(n, terms)
+
+
 class TestCoefficientwiseReport:
     def test_single_variable(self):
         _, errors = coefficientwise_report(X, 10)
@@ -123,6 +196,20 @@ class TestCoefficientwiseReport:
             h_i = sqrt_square_approx(f, i)
             square = poly_mul(h_i, h_i)
             assert error == max(abs(square.coefficient(a) - f.coefficient(a)) for a in region)
+
+    @settings(max_examples=150, deadline=None)
+    @given(report_polynomials(), st.integers(1, 12))
+    def test_report_is_the_per_i_loop(self, f, i_max):
+        got = report_outcome(coefficientwise_report, f, i_max)
+        assert got == report_outcome(reference_report, f, i_max)
+
+    @pytest.mark.parametrize("i_max", [130, 200])
+    def test_report_of_x_is_the_per_i_loop(self, i_max):
+        # i = 130: errors down to 1/130; i = 200: h_200 overflows, and the
+        # message names the same coefficient
+        got = report_outcome(coefficientwise_report, X, i_max)
+        assert got == report_outcome(reference_report, X, i_max)
+        assert isinstance(got, str) == (i_max == 200)
 
 
 class TestSosCertify:
@@ -516,6 +603,77 @@ def small_polynomials(n: int):
     )
 
 
+def reference_bracket(f, box, threshold=math.inf):
+    # bracket_box_minimum with its per-axis tables formed on every call and
+    # its axes moved by np.moveaxis: the reference for every output.
+    n, half = f.n, np.array(box.upper)
+    degrees = f.exponents.max(axis=0, initial=0)
+    sizes = (degrees + 1).tolist()
+    if math.prod(sizes) + sum(size * size for size in sizes) > approx_module._SCREEN_BUDGET:
+        point, upper = approx_module._polish(f, np.zeros(n), half)
+        return -math.inf, upper, point, 0, "budget"
+    coefs = np.zeros(degrees + 1)
+    coefs[tuple(f.exponents.T)] = f.coefs
+    halving = []
+    for i, d in enumerate(map(int, degrees)):
+        x = np.arange(d, -1, -1, dtype=object)
+        columns = [np.ones(d + 1, dtype=object), d - 2 * x]
+        for k in range(1, d):
+            columns.append(((d - 2 * x) * columns[k] - (d - k + 1) * columns[k - 1]) // (k + 1))
+        to_bernstein = np.array([col / math.comb(d, k) for k, col in enumerate(columns[: d + 1])])
+        with np.errstate(over="ignore", invalid="ignore"):
+            scaled = to_bernstein.T.astype(float) * half[i] ** np.arange(d + 1)
+            coefs = np.moveaxis(np.tensordot(scaled, coefs, axes=(1, i)), 0, i)
+        left = np.array([[math.comb(j, k) / 2**j for k in range(d + 1)] for j in range(d + 1)])
+        halving.append(np.vstack([left, left[::-1, ::-1]]))
+    if not np.isfinite(coefs).all():
+        raise ValueError("coefficients too large for the box screen")
+    bits = np.indices((2,) * n).reshape(n, -1).T
+    corner_at = np.ravel_multi_index(tuple((bits * degrees).T), coefs.shape)
+    stack, lows, width = coefs[None], np.zeros((1, n)), np.ones(n)
+    entries, best, best_t, lower = coefs.size, math.inf, None, math.inf
+    axes, unit = itertools.cycle(np.flatnonzero(degrees).tolist()), np.eye(n)
+    while True:
+        flat = stack.reshape(len(stack), -1)
+        bounds, corners = flat.min(axis=1), flat[:, corner_at]
+        k = int(np.argmin(corners))
+        if corners.flat[k] < best:
+            best = float(corners.flat[k])
+            best_t = lows[k // len(bits)] + bits[k % len(bits)] * width
+        keep = bounds < min(threshold, best - approx_module._SCREEN_TOL)
+        kept = int(np.count_nonzero(keep))
+        if not kept or entries + 2 * kept * coefs.size > approx_module._SCREEN_BUDGET:
+            lower = min(lower, float(bounds.min()))
+            break
+        lower = min(lower, float(bounds[~keep].min(initial=math.inf)))
+        stack, lows = stack[keep], lows[keep]
+        axis = next(axes)
+        d = int(degrees[axis])
+        halves = np.moveaxis(stack, axis + 1, -1) @ halving[axis].T
+        halves = np.concatenate([halves[..., : d + 1], halves[..., d + 1:]])
+        stack = np.moveaxis(halves, -1, axis + 1)
+        width[axis] /= 2.0
+        lows = np.concatenate([lows, lows + unit[axis] * width[axis]])
+        entries += stack.size
+    if kept:
+        values = stack[keep]
+        for i, d in enumerate(map(int, degrees)):
+            t, k = np.arange(d + 1)[:, None] / max(d, 1), np.arange(d + 1)
+            binomials = np.array([math.comb(d, j) for j in range(d + 1)], dtype=float)
+            at_greville = binomials * t**k * (1.0 - t) ** (d - k)
+            values = np.moveaxis(np.moveaxis(values, i + 1, -1) @ at_greville.T, -1, i + 1)
+        k = int(np.argmin(values))
+        if values.flat[k] < best:
+            box_at, j = divmod(k, coefs.size)
+            index = np.array(np.unravel_index(j, coefs.shape))
+            best_t = lows[keep][box_at] + index / np.maximum(degrees, 1) * width
+        point, upper = approx_module._polish(f, half * (2.0 * best_t - 1.0), half)
+        return min(lower, upper), upper, point, entries, "budget"
+    point = tuple(float(v) for v in half * (2.0 * best_t - 1.0))
+    upper = poly_eval(f, point)
+    return min(lower, upper), upper, point, entries, "closed"
+
+
 class TestBracketBoxMinimum:
     @settings(max_examples=80, deadline=None)
     @given(st.integers(1, 3).flatmap(lambda n: st.tuples(
@@ -536,6 +694,44 @@ class TestBracketBoxMinimum:
         if stop != "budget":  # closed: 1e-9 wide, up to the round-off of upper's evaluation
             assert stop == "closed"
             assert upper - lower <= 1e-9 + 1e-13 * max(scale, 1.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 3).flatmap(lambda n: st.tuples(
+        small_polynomials(n), st.lists(st.floats(0.25, 2.0), min_size=n, max_size=n))),
+        st.sampled_from([math.inf, -1e-9]))
+    def test_bracket_is_the_reference_loop(self, case, threshold):
+        f, halfwidths = case
+        box = BoxSpec.from_halfwidths(halfwidths)
+        got = bracket_box_minimum(f, box, threshold)
+        assert got == reference_bracket(f, box, threshold)
+
+    @pytest.mark.parametrize("threshold", [math.inf, -1e-9])
+    @pytest.mark.parametrize("f", [
+        # minimum -0.065 at (-0.256, -0.002), inside the box: some 1800 coefficients
+        Polynomial(2, {(0, 0): 0.0333, (2, 0): 1.5, (0, 2): 0.9, (1, 0): 0.768, (1, 1): 0.3,
+                       (0, 1): 0.08}),
+        Polynomial(2, {(6, 0): 1.0, (3, 1): -2.0, (0, 2): 1.0}),  # a budget stop
+    ])
+    def test_bracket_is_the_reference_loop_on_fixed_cases(self, f, threshold):
+        box = BoxSpec.from_halfwidths([1.1, 0.9])
+        got = bracket_box_minimum(f, box, threshold)
+        assert got == reference_bracket(f, box, threshold)
+        assert got[-1] == ("budget" if f.degree == 6 else "closed")
+
+    def test_tables_are_shared_and_read_only(self):
+        # both axes of f have degree 3, so a call after the first builds nothing
+        f = Polynomial(2, {(3, 0): 1.0, (0, 3): -1.0, (1, 2): 0.5})
+        bracket_box_minimum(f, SQUARE)
+        info = approx_module._bernstein_tables.cache_info()
+        bracket_box_minimum(f, SQUARE)
+        after = approx_module._bernstein_tables.cache_info()
+        assert (after.hits, after.misses) == (info.hits + 2, info.misses)
+        tables = approx_module._bernstein_tables(3)
+        assert approx_module._bernstein_tables(3) is tables
+        for table in tables:
+            assert not table.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 1.0
 
     def test_threshold_stops_at_a_nonnegative_lower_bound(self):
         # the quartic of ROADMAP item 2 has minimum 1 - 0.25/2.3 on the square, at
@@ -633,6 +829,43 @@ class TestBracketBoxMinimum:
 
 
 class TestBoxSosApprox:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 2).flatmap(lambda n: st.tuples(
+        small_polynomials(n), st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n))),
+        st.floats(0.0, 2.0))
+    @example((Polynomial(2, {(0, 1): 2.2250738585e-313}), [1.0, 1.0]), 0.0)
+    def test_candidate_is_the_sparse_sum(self, case, eps):
+        # each depth's candidate is f_unit + eps * theta_D as poly_add forms it,
+        # term for term and bit for bit, and so is the certified distance
+        f, halfwidths = case
+        w = WeightSpec(2, halfwidths)
+        f_unit = axis_scale(f, box_from_weight(w).upper)
+        seen = []
+
+        def record(candidate, d, **kwargs):
+            seen.append(candidate)
+            return sos_certify(candidate, d, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(approx_module, "sos_certify", record)
+            try:
+                res = box_sos_approx(f, w, eps, 3, max_iters=200)
+            except ValueError as exc:
+                # the refutation divides by a subnormal coefficient and overflows
+                assert str(exc) == "coefficients too large for the Gram search"
+                res = None
+        for depth, candidate in enumerate(seen, 2):
+            expected = poly_add(f_unit, poly_scale(square_perturbation(f.n, depth), eps))
+            assert candidate == expected
+        if res is not None and res.success:
+            gap = poly_sub(f_unit, res.certificate.square_sum)
+            assert res.distance == weighted_norm(gap, WeightSpec(2, (1.0,) * f.n))
+
+    def test_candidate_overflow_names_its_coefficient(self):
+        f = Polynomial(1, {(0,): 1e308, (2,): 1.0})
+        with pytest.raises(ValueError, match=r"^coefficient inf at \(0,\) is not finite$"):
+            box_sos_approx(f, WeightSpec(2, (1.0,)), 1e308, 3)
+
     def test_unit_box_eps_one(self):
         res = box_sos_approx(ONE_MINUS_XSQ, WeightSpec(1, (1.0,)), 1.0, 2)
         assert res.success and res.depth == 2

@@ -30,6 +30,7 @@ from momentcone.polyring import (
     dense_coefficients,
     shift_table,
     simplex_index,
+    sqrt_coefficients,
     truncated_square,
 )
 from conftest import (
@@ -112,18 +113,23 @@ class TestRankTables:
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         # every H is a shift_table, so an empty shift_table cache means no H
-        # exists; one moment matrix then fills it
+        # exists, and the box screen's Bernstein tables and the theta_D
+        # vectors of box_sos_approx are cached too; one moment matrix then
+        # fills the shift_table cache
         code = (
             "import momentcone.cli\n"
+            "from momentcone.approx import _bernstein_tables, _perturbation_vector\n"
             "from momentcone.polyring import shift_table, simplex_index\n"
             "print(shift_table.cache_info().currsize, simplex_index.cache_info().currsize)\n"
+            "print(_bernstein_tables.cache_info().currsize)\n"
+            "print(_perturbation_vector.cache_info().currsize)\n"
             "momentcone.cli.moment_matrix(momentcone.MomentSequence(1, 2, [1.0, 0.0, 1.0]), 1)\n"
             "print(shift_table.cache_info().currsize)\n"
         )
         done = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
-        assert done.stdout.split() == ["0", "0", "1"]
+        assert done.stdout.split() == ["0", "0", "0", "0", "1"]
 
 
 class TestAdd:
@@ -341,6 +347,25 @@ class TestDenseRounding:
         stacked = truncated_square(np.stack([vector, -3.0 * vector]), h.n, degree)
         negated = truncated_square(-3.0 * vector, h.n, degree)
         assert stacked.tolist() == [got.tolist(), negated.tolist()]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 3), st.integers(0, 8), st.data())
+    def test_stacked_sqrt_is_the_row_by_row_recurrence(self, n, max_degree, data):
+        # row r of a stack is live up to degree max_degree - r, rounds as the
+        # recurrence on that row alone and holds zeros above; huge entries
+        # overflow some rows, which must not reach the others
+        rows = data.draw(st.integers(1, max_degree + 1))
+        scale = data.draw(st.sampled_from([1.0, 1e100, 1e200]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        stack = rng.uniform(-scale, scale, size=(rows, simplex_size(n, max_degree)))
+        stack[:, 0] = rng.uniform(1e-3, 10.0, size=rows)
+        got = sqrt_coefficients(stack, n, max_degree)
+        assert got.shape == stack.shape
+        for r, row in enumerate(stack):
+            expected = np.zeros(len(row))
+            alone = sqrt_coefficients(row, n, max_degree - r)
+            expected[: len(alone)] = alone
+            assert got[r].tobytes() == expected.tobytes()
 
     def test_overflow_names_a_coefficient(self):
         with pytest.raises(ValueError, match=r"at \(\d+,\) is not finite"):
