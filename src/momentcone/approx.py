@@ -69,23 +69,22 @@ def coefficientwise_report(f: Polynomial, i_max: int) -> tuple[Polynomial, list[
     Once i >= deg f the only deviation left is the constant shift, so the
     error is exactly 1/i from then on.  h_{i_max}, ..., h_1 are the rows of
     one stacked recurrence on dense graded-lex vectors (sqrt_coefficients,
-    row k live up to degree i_max - k, the same roundings as
-    sqrt_square_approx), and only the coefficients of h_i^2 up to deg f are
-    formed, all i in one np.bincount over the cached Hankel table
-    (truncated_square): the report reads nothing above deg f, so a square
-    that overflows only there still gets a row.  An h_i or a truncated
-    square that is not finite is an error, the first in largest-i order (h_i
-    before its square).
+    Miller's recurrence, the same roundings as sqrt_square_approx): h_{i_max}
+    runs to degree i_max, and h_i, i < i_max, is formed and checked only to
+    min(i, deg f), and h_i^2 only to deg f, all i in one np.bincount over
+    the cached Hankel table (truncated_square): the report reads nothing
+    above deg f, so a square that overflows only there still gets a row.
+    An h_i or a truncated square that is not finite is an error, the first
+    in largest-i order (h_i before its square).
     """
     _check_index(f, i_max)
     region = max(f.degree, 0)
     size = simplex_size(f.n, region)
     coefficients = dense_coefficients(f, max(region, i_max))
-    shifted = np.tile(coefficients[: simplex_size(f.n, i_max)], (i_max, 1))
+    shifted = np.tile(coefficients, (i_max, 1))  # to deg f, which sets where h_i stops
     shifted[:, 0] += 1.0 / np.arange(i_max, 0, -1)  # row k: 1/i + f, i = i_max - k
     h = sqrt_coefficients(shifted, f.n, i_max)
-    finite = np.isfinite(h).all(axis=1)
-    live = int(np.argmin(finite)) if np.count_nonzero(finite) < i_max else i_max
+    live = int(np.argmin(np.append(np.isfinite(h).all(axis=1), False)))  # rows before a non-finite
     squares = truncated_square(h[:live], f.n, region)  # one row per h_i above the first not finite
     for square in squares:
         check_finite(square, f.n, region)
@@ -357,16 +356,20 @@ def _interval_minimizer(k: np.ndarray, coefs: np.ndarray, c: float) -> float:
     the interval).  The roots are those of the derivative in u = x / c:
     leading coefficients below eps times the largest are dropped, since they
     move the roots in [-1, 1] by no more than np.roots' own error, while a
-    subnormal one would overflow its companion matrix.
-    """
+    subnormal one would overflow its companion matrix.  A derivative or a
+    candidate value that is not finite is a ValueError."""
     rising = k > 0
     degree = int(k.max(initial=0))
     derivative = np.zeros(max(degree, 1))  # highest degree first
-    derivative[degree - k[rising]] = k[rising] * coefs[rising] * c ** k[rising]
-    kept = np.flatnonzero(np.abs(derivative) > np.finfo(float).eps * np.abs(derivative).max())
-    roots = np.roots(derivative[kept[0]:]) if kept.size else np.empty(0)
-    points = np.concatenate([[-c, c], np.clip(roots.real * c, -c, c)])
-    return float(points[int(np.argmin(monomial_values(points[:, None], k[:, None]) @ coefs))])
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below; inf/nan leave no roots
+        derivative[degree - k[rising]] = k[rising] * coefs[rising] * c ** k[rising]
+        kept = np.flatnonzero(np.abs(derivative) > np.finfo(float).eps * np.abs(derivative).max())
+        roots = np.roots(derivative[kept[0]:]) if kept.size else np.empty(0)
+        points = np.concatenate([[-c, c], np.clip(roots.real * c, -c, c)])
+        values = monomial_values(points[:, None], k[:, None]) @ coefs
+    if not (np.isfinite(derivative).all() and np.isfinite(values).all()):
+        raise ValueError("coefficients too large for the box screen")
+    return float(points[int(np.argmin(values))])
 
 
 def _polish(f: Polynomial, point: np.ndarray, half: np.ndarray):

@@ -82,7 +82,7 @@ def _integrate_simplex(mu: AtomicMeasure, n: int, max_degree: int) -> list[float
     """sum_j w_j x_j^alpha for every |alpha| <= max_degree, in graded-lex order."""
     points = np.reshape(np.array(mu.atoms, dtype=float), (-1, n))
     vander = monomial_values(points, simplex_index(n, max_degree))
-    return [math.fsum(column) for column in (vander * np.array(mu.weights)[:, None]).T]
+    return [math.fsum(column) for column in (vander * np.array(mu.weights)[:, None]).T.tolist()]
 
 
 @dataclass(frozen=True)

@@ -8,13 +8,13 @@ by np.lexsort and sums repeated rows in input order by np.bincount; sum,
 difference and product pass through it, while the maps that keep the rows
 only drop zeros.  ``terms`` is a read-only map derived from the two arrays.
 
-The truncated square root (sqrt_coefficients) and square (truncated_square)
-run on dense graded-lex vectors, or on a stack of them with one np.bincount
-for all rows (per degree for the root, once for the square), with products
-summed in the order poly_mul sums them (the square's bins read from the
-Hankel table shift_table(n, d, d), the root's from a pair table cached per
-degree), so every coefficient rounds as in poly_mul, whatever the other
-rows of a stack hold.
+The truncated square root (sqrt_coefficients, Miller's recurrence) and
+square (truncated_square) run on dense graded-lex vectors, or on a stack of
+them with one np.bincount for all rows (per degree for the root, once for
+the square).  Both read their bins from the one cached rank table,
+shift_table: the square from the Hankel table shift_table(n, d, d), in the
+order poly_mul sums its products, and the root from shift_table(n, D - 1,
+deg f) for degree D.  Every coefficient rounds as in a stack of one row.
 """
 
 from __future__ import annotations
@@ -408,21 +408,6 @@ def dense_coefficients(f: Polynomial, degree: int) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=256)
-def _sqrt_pairs(n: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # The ranks (a, b) of the products g_j g_{d-j}, j = |a| = 1..d-1, of
-    # series_sqrt's degree-d step, a ascending, and the bin of a + b: product
-    # j fills row j of a (d, m) array, m the size of the degree-d block, and
-    # row 0 is left for f_d.
-    exponents = simplex_index(n, d)
-    total = exponents.sum(axis=1)
-    inner = total > 0
-    a, b = np.nonzero((total[:, None] + total[None, :] == d) & inner[:, None] & inner[None, :])
-    lo = simplex_size(n, d - 1)
-    bins = grlex_rank(exponents[a] + exponents[b]) - lo + total[a] * (len(total) - lo)
-    return _read_only(a, b, bins)
-
-
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     for array in arrays:
         array.setflags(write=False)
@@ -430,33 +415,45 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def sqrt_coefficients(f: np.ndarray, n: int, max_degree: int) -> np.ndarray:
-    """The recurrence of series_sqrt on graded-lex vectors f (to at least
-    max_degree, f[0] > 0) and g, or on each row of a stack of them, row r
-    live up to degree max_degree - r (zeros above it).  Degree d sums the
-    products g_j g_{d-j} of every live row by one np.bincount over a cached
-    pair table, left factors by ascending rank as poly_mul sums them, and
-    np.subtract.reduce takes them from f_d in j order: each coefficient
-    rounds as g_d = (f_d - g_1 g_{d-1} - ... - g_{d-1} g_1) * (1 / (2 g_0))
-    does, whatever the other rows hold.  An overflow leaves an entry that is
-    not finite, in its own row only."""
+    """The square root h of a graded-lex vector f (to at least max_degree, f[0]
+    > 0), or of each row of a stack, by J. C. P. Miller's recurrence: E = sum
+    X_i d/dX_i turns h^2 = f into f E(h) = h E(f) / 2, so d f_0 h_a = sum
+    (3|c|/2 - d) f_c h_{a-c} over 1 <= |c| <= deg f, |a| = d, added by
+    ascending rank of c in one np.bincount per degree, bins from one sorted
+    slice of shift_table(n, max_degree - 1, deg f); deg f reads every entry
+    of the stack, and counts as max_degree above it.  A row with f_0 >= 2
+    runs on f / 4^m, f_0 / 4^m in [0.5, 2), then h = h' 2^m (exact): the
+    terms stay near h in size, not f h.  Row 0 runs to max_degree, row r >= 1
+    to min(max_degree - r, deg f), zeros above, each rounding and overflowing as alone."""
     stack = np.atleast_2d(f)
-    g = np.zeros((len(stack), simplex_size(n, max_degree)))
-    g[:, 0] = np.sqrt(stack[:, 0])
-    inv = 1.0 / (2.0 * g[:, :1])
+    m = np.maximum(np.frexp(stack[:, :1])[1] // 2, 0)  # f_0 / 4^m in [0.5, 2) if f_0 >= 2
+    stack = np.ldexp(stack, -2 * m)
+    sizes = [simplex_size(n, d - 1) for d in range(max_degree + 2)]  # degree d from sizes[d]
+    total = simplex_index(n, max_degree).sum(axis=1)
+    h = np.zeros((len(stack), sizes[-1]))
+    h[:, 0] = np.sqrt(stack[:, 0])
+    deg_f = int(total[min(stack.any(axis=0).nonzero()[0][-1], sizes[-1] - 1)])  # <= max_degree
+    table = shift_table(n, max_degree - 1, deg_f)[1:]  # T[rank(c) - 1, rank(b)] = rank(b + c)
+    order = table.argsort(axis=None, kind="stable")  # by bin, then ascending rank of c
+    bins = table.take(order)
+    ends = bins.searchsorted(sizes).tolist()  # degree d: the pairs ends[d]:ends[d + 1]
+    c, b = np.divmod(order[: ends[-1]] + table.shape[1], table.shape[1])  # row 0 was cut
+    factor = 1.5 * total[c] - total[bins[: ends[-1]]]  # 3|c|/2 - |a|
+    starts = np.array(sizes)[:, None]  # row r of degree d fills the bins r * block + rank - start
+    offsets = (starts[1:] - starts[:-1]) * np.arange(len(stack)) - starts[:-1]
+    denominators = np.arange(max_degree + 1)[:, None] * stack[:, 0]  # d * f_0
     with np.errstate(over="ignore", invalid="ignore"):
+        weights = factor[: ends[deg_f + 1]] * stack.take(c[: ends[deg_f + 1]], axis=1)
+        first = factor * stack[:1].take(c, axis=1)  # row 0's; every row's to deg f above
         for d in range(1, max_degree + 1):
-            live = min(len(stack), max_degree + 1 - d)
-            lo, hi = simplex_size(n, d - 1), simplex_size(n, d)
-            a, b, where = _sqrt_pairs(n, d)
-            block = d * (hi - lo)  # row r fills the bins r * block + where
-            bins = (where + block * np.arange(live)[:, None]).ravel()
-            # np.take, unlike g[:live, a], gives C order, so ravel copies nothing
-            products = np.take(g[:live], a, axis=1) * np.take(g[:live], b, axis=1)
-            rows = np.bincount(bins, products.ravel(), live * block)
-            rows = rows.astype(float, copy=False).reshape(live, d, hi - lo)  # d = 1: no pairs, ints
-            rows[:, 0] = stack[:live, lo:hi]
-            g[:live, lo:hi] = np.subtract.reduce(rows, axis=1) * inv[:live]
-    return g if np.ndim(f) == 2 else g[0]
+            live = min(len(stack), max_degree + 1 - d) if d <= deg_f else 1
+            lo, hi, at = sizes[d], sizes[d + 1], slice(ends[d], ends[d + 1])
+            terms = (weights if live > 1 else first)[:live, at] * h[:live].take(b[at], axis=1)
+            where = (bins[at] + offsets[d, :live, None]).ravel()
+            sums = np.bincount(where, terms.ravel(), live * (hi - lo)).reshape(live, hi - lo)
+            h[:live, lo:hi] = sums / denominators[d, :live, None]
+        h = np.ldexp(h, m)
+    return h if np.ndim(f) == 2 else h[0]
 
 
 def truncated_square(h: np.ndarray, n: int, degree: int) -> np.ndarray:
@@ -479,8 +476,8 @@ def truncated_square(h: np.ndarray, n: int, degree: int) -> np.ndarray:
 def series_sqrt(f: Polynomial, max_degree: int) -> Polynomial:
     """Truncated formal power-series square root of f: g = g_0 + ... + g_D,
     D = max_degree, with g**2 - f free of terms of total degree <= D.  g_0 =
-    sqrt(f_0) and g_d = (f_d - sum_{0<j<d} g_j g_{d-j}) / (2 g_0), so f_0 > 0
-    is required (sqrt_square_approx shifts f); an overflow is an error."""
+    sqrt(f_0) and g_1, ..., g_D by Miller's recurrence (sqrt_coefficients), so
+    f_0 > 0 is required (sqrt_square_approx shifts f); an overflow is an error."""
     if max_degree < 0:
         raise ValueError("degree bound must be >= 0")
     if f.constant_term <= 0.0:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,27 @@ def horner_eval(arr: np.ndarray, x) -> float:
             acc = acc * x[axis] + value[..., k]
         value = acc
     return float(value)
+
+
+def miller_sqrt(f: Polynomial, degree: int) -> dict:
+    """The square root of f (f(0) > 0) to total degree `degree`, one coefficient
+    at a time in graded-lex order by J. C. P. Miller's recurrence, on f / 4^m
+    with m = max(0, floor(e / 2)) for f(0) = x 2^e, x in [0.5, 1): h'_a = (sum
+    of ((3|c|/2 - |a|) f'_c) h'_{a-c} over the terms c != 0 of f' = f / 4^m with
+    c <= a, added to 0.0 in graded-lex order of c) / (|a| f'_0), and h_a = h'_a
+    2^m.  A map over every exponent of iter_simplex(f.n, degree)."""
+    m = max(math.frexp(f.constant_term)[1] // 2, 0)
+    f0 = f.constant_term * 2.0 ** (-2 * m)
+    terms = [(c, v * 2.0 ** (-2 * m), sum(c)) for c, v in f.terms.items() if any(c)]
+    h: dict = {}
+    for a in iter_simplex(f.n, degree):
+        d = sum(a)
+        total = 0.0
+        for c, v, size in terms:
+            if d and all(x <= y for x, y in zip(c, a)):
+                total += (1.5 * size - d) * v * h[tuple(y - x for x, y in zip(c, a))]
+        h[a] = total / (d * f0) if d else math.sqrt(f0)
+    return {a: v * 2.0**m for a, v in h.items()}
 
 
 def random_sparse_poly(rng, n: int, max_degree: int, max_terms: int = 8,

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -470,6 +471,22 @@ class TestSosApproxCommand:
         argv = ["sos-approx", "--f", str(path), "--p", "1", "--r", "1e200,1", "--eps", "0.5",
                 "--dmax", "2"]
         assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: coefficients too large for the box screen\n"
+
+    def test_overflowing_interval_screen_exit_one(self, tmp_path, capsys):
+        # the 1-D screen's derivative 2e308 X overflows on [-1, 1]: an error
+        # line, and no numpy warning on the way
+        path = tmp_path / "huge.json"
+        terms = [{"exp": [0], "coef": 1e308}, {"exp": [2], "coef": 1e308}]
+        path.write_text(json.dumps({"n": 1, "terms": terms}))
+        argv = ["sos-approx", "--f", str(path), "--p", "2", "--r", "1", "--eps", "0.1",
+                "--dmax", "2"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 1
+        assert caught == []
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: coefficients too large for the box screen\n"

@@ -39,6 +39,7 @@ from conftest import (
     dense_convolution,
     dense_from_poly,
     horner_eval,
+    miller_sqrt,
     random_sparse_poly,
 )
 
@@ -285,23 +286,6 @@ class TestSeriesSqrt:
                 assert abs(gap.coefficient(alpha)) <= 1e-10
 
 
-def sparse_series_sqrt(f, max_degree):
-    # The sparse recurrence series_sqrt ran before its dense form: the
-    # reference for the rounding of every coefficient.
-    g0 = math.sqrt(f.constant_term)
-    components = [Polynomial.constant(f.n, g0)]
-    inv = 1.0 / (2.0 * g0)
-    for d in range(1, max_degree + 1):
-        acc = Polynomial(f.n, {a: v for a, v in f.terms.items() if sum(a) == d})
-        for j in range(1, d):
-            acc = poly_sub(acc, poly_mul(components[j], components[d - j]))
-        components.append(poly_scale(acc, inv))
-    total = Polynomial.zero(f.n)
-    for comp in components:
-        total = poly_add(total, comp)
-    return total
-
-
 @st.composite
 def low_degree_poly(draw, constant):
     # n in {1, 2, 3}, degree <= 4, the constant term drawn from `constant`
@@ -317,8 +301,8 @@ class TestDenseRounding:
     @given(low_degree_poly(st.floats(min_value=0.0, max_value=10.0, exclude_min=True)),
            st.integers(0, 8))
     def test_series_sqrt_matches_sparse_recurrence(self, f, depth):
-        try:
-            expected = sparse_series_sqrt(f, depth)
+        try:  # the term-by-term recurrence, the reference for every rounding
+            expected = Polynomial(f.n, miller_sqrt(f, depth))
         except ValueError:  # an overflow: the dense form rejects it too
             with pytest.raises(ValueError, match="not finite"):
                 series_sqrt(f, depth)
@@ -370,6 +354,24 @@ class TestDenseRounding:
     def test_overflow_names_a_coefficient(self):
         with pytest.raises(ValueError, match=r"at \(\d+,\) is not finite"):
             series_sqrt(Polynomial(1, {(0,): 1.0 / 200, (1,): 1.0}), 200)
+
+    def test_stacked_rows_below_the_first_stop_at_deg_f(self):
+        # f of degree 2 in 2 variables: row 0 runs to 6, rows 1 and 2 to 2
+        f = dense_coefficients(Polynomial(2, {(0, 0): 1.5, (1, 0): 0.5, (1, 1): -2.0}), 6)
+        stack = np.stack([f, f, f])
+        stack[1:, 0] += (1.0, 2.0)
+        got = sqrt_coefficients(stack, 2, 6)
+        assert got[0].tobytes() == sqrt_coefficients(f, 2, 6).tobytes()
+        for row, alone in zip(got[1:], stack[1:]):
+            expected = np.zeros(len(row))
+            expected[:6] = sqrt_coefficients(alone, 2, 2)
+            assert row.tobytes() == expected.tobytes()
+
+    def test_huge_constant_term_stays_in_range(self):
+        # the recurrence runs on f / 4^m with f_0 / 4^m in [0.5, 2), so its
+        # terms stay near h in size: f_c h_b here would be near 1e450
+        f = Polynomial(1, {(0,): 1e300, (1,): 2e300, (2,): 1e300})
+        assert series_sqrt(f, 4).terms == {(0,): 1e150, (1,): 1e150}
 
 
 class TestRingAxioms:

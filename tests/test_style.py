@@ -3,9 +3,9 @@
 longer than 100 characters, no module under src/ imports a private
 (underscore) name from another module of the package or imports scipy, and
 no module under src/ but polyring reads a polynomial's terms map or calls
-object.__new__, no function under src/ but polyring.shift_table and
-polyring._sqrt_pairs calls grlex_rank on a sum (every exponent sum is
-ranked once, in a cached rank table), and every name the package exports
+object.__new__, no function under src/ but polyring.shift_table calls
+grlex_rank on a sum (every exponent sum is ranked once, in its cached rank
+table), and every name the package exports
 is read outside its own definition by another src/ module, a file under
 scripts/, README.md or tests/test_acceptance.py (apply_functional, kept
 for l(q) of a separating witness, is the one exception)."""
@@ -139,16 +139,15 @@ def test_no_scipy_under_src():
 
 
 def rank_of_sum_calls(path: Path) -> list[str]:
-    # grlex_rank calls on a sum, except inside polyring's two cached rank
-    # tables: shift_table and _sqrt_pairs, whose pairs |a| + |b| = d would
-    # need a dense size(n, d - 1)^2 table per degree d
+    # grlex_rank calls on a sum, except inside polyring's cached rank table
+    # shift_table
     tree = ast.parse(path.read_text(encoding="utf-8"))
     exempt = {
         id(inner)
         for node in ast.walk(tree)
         if path.name == "polyring.py"
         and isinstance(node, ast.FunctionDef)
-        and node.name in ("shift_table", "_sqrt_pairs")
+        and node.name == "shift_table"
         for inner in ast.walk(node)
     }
     return [
@@ -172,10 +171,10 @@ def test_rank_of_sum_calls_found(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text(calls)
     assert rank_of_sum_calls(probe) == flagged
-    # in polyring only shift_table and _sqrt_pairs may rank a sum: another
-    # function there is flagged
+    # in polyring only shift_table may rank a sum: another function there,
+    # _sqrt_pairs included, is flagged
     (tmp_path / "polyring.py").write_text(calls)
-    assert rank_of_sum_calls(tmp_path / "polyring.py") == flagged[:2] + flagged[4:]
+    assert rank_of_sum_calls(tmp_path / "polyring.py") == flagged[:2] + flagged[3:]
 
 
 def test_rank_tables_stay_in_polyring():
