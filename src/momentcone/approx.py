@@ -33,8 +33,7 @@ from .polyring import (
     series_sqrt,
     shift_table,
     simplex_index,
-    simplex_size,
-    sqrt_coefficients,
+    sqrt_stack,
     truncated_square,
 )
 
@@ -68,30 +67,34 @@ def coefficientwise_report(f: Polynomial, i_max: int) -> tuple[Polynomial, list[
 
     Once i >= deg f the only deviation left is the constant shift, so the
     error is exactly 1/i from then on.  h_{i_max}, ..., h_1 are the rows of
-    one stacked recurrence on dense graded-lex vectors (sqrt_coefficients,
-    Miller's recurrence, the same roundings as sqrt_square_approx): h_{i_max}
-    runs to degree i_max, and h_i, i < i_max, is formed and checked only to
+    one stacked recurrence on dense graded-lex vectors (sqrt_stack, Miller's
+    recurrence, the same roundings as sqrt_square_approx): h_{i_max} runs to
+    degree i_max, and h_i, i < i_max, is formed, stored and checked only to
     min(i, deg f), and h_i^2 only to deg f, all i in one np.bincount over
     the cached Hankel table (truncated_square): the report reads nothing
-    above deg f, so a square that overflows only there still gets a row.
-    An h_i or a truncated square that is not finite is an error, the first
-    in largest-i order (h_i before its square).
+    above deg f, so a square that overflows only there still gets a row,
+    and it holds i_max rows of the simplex of deg f besides h_{i_max}.  An
+    h_i or a truncated square that is not finite is an error, the first in
+    largest-i order (h_i before its square).
     """
     _check_index(f, i_max)
     region = max(f.degree, 0)
-    size = simplex_size(f.n, region)
-    coefficients = dense_coefficients(f, max(region, i_max))
+    coefficients = dense_coefficients(f, region)
     shifted = np.tile(coefficients, (i_max, 1))  # to deg f, which sets where h_i stops
     shifted[:, 0] += 1.0 / np.arange(i_max, 0, -1)  # row k: 1/i + f, i = i_max - k
-    h = sqrt_coefficients(shifted, f.n, i_max)
-    live = int(np.argmin(np.append(np.isfinite(h).all(axis=1), False)))  # rows before a non-finite
-    squares = truncated_square(h[:live], f.n, region)  # one row per h_i above the first not finite
-    for square in squares:
-        check_finite(square, f.n, region)
+    top, rows = sqrt_stack(shifted, f.n, i_max)  # rows: every h_i to min(i_max, deg f)
+    finite = np.isfinite(rows).all(axis=1)
+    finite[0] = np.isfinite(top).all()
+    live = int(np.argmin(np.append(finite, False)))  # rows before a non-finite
+    squares = truncated_square(rows[:live], f.n, region)  # each h_i above the first not finite
+    bad = ~np.isfinite(squares).all(axis=1)
+    if bad.any():
+        check_finite(squares[np.argmax(bad)], f.n, region)
     if live < i_max:  # row live holds h_i, i = i_max - live, and zeros above degree i
-        check_finite(h[live], f.n, i_max)
-    errors = np.max(np.abs(squares - coefficients[:size]), axis=1)[::-1].tolist()
-    return poly_from_vector(f.n, i_max, h[0]), errors
+        row, degree = (top, i_max) if live == 0 else (rows[live], min(i_max, region))
+        check_finite(row, f.n, degree)
+    errors = np.max(np.abs(squares - coefficients), axis=1)[::-1].tolist()
+    return poly_from_vector(f.n, i_max, top), errors
 
 
 @dataclass(frozen=True)

@@ -460,7 +460,8 @@ def main(argv=None) -> int:
     try:
         text, passed = args.func(args)
         _emit(text, args.out)
-    except (OSError, json.JSONDecodeError, ValueError, KeyError, TypeError, OverflowError) as exc:
+    except (OSError, json.JSONDecodeError, ValueError, KeyError, TypeError, OverflowError,
+            MemoryError) as exc:  # MemoryError: an array too large to allocate
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0 if passed else 2

@@ -8,13 +8,20 @@ by np.lexsort and sums repeated rows in input order by np.bincount; sum,
 difference and product pass through it, while the maps that keep the rows
 only drop zeros.  ``terms`` is a read-only map derived from the two arrays.
 
-The truncated square root (sqrt_coefficients, Miller's recurrence) and
-square (truncated_square) run on dense graded-lex vectors, or on a stack of
-them with one np.bincount for all rows (per degree for the root, once for
-the square).  Both read their bins from the one cached rank table,
-shift_table: the square from the Hankel table shift_table(n, d, d), in the
-order poly_mul sums its products, and the root from shift_table(n, D - 1,
-deg f) for degree D.  Every coefficient rounds as in a stack of one row.
+The truncated square root (sqrt_stack, Miller's recurrence) and square
+(truncated_square) run on dense graded-lex vectors, or on a stack of them
+with one np.bincount for all rows (per degree for the root, once for the
+square).  Both read their bins from the one cached rank table, shift_table:
+the square from the Hankel table shift_table(n, d, d), in the order poly_mul
+sums its products, and the root from shift_table(n, D - 1, deg f) for
+degree D.  Every coefficient rounds as in a stack of one row.  The index
+work that depends only on the shape is built once into read-only plans,
+cached like shift_table and built on first use, never at import: the root's
+sorted pairs, factors and per-degree bins per (n, D, deg f, rows), the
+square's pairs and bins per (n, d, rows), and dense_coefficients' binomial
+table per (n, degree kept).  Row 0 of a root stack runs to D; every other
+row stops at deg f and is stored only that far, so a stack of r rows costs
+r * simplex_size(n, deg f) + simplex_size(n, D) floats.
 """
 
 from __future__ import annotations
@@ -400,11 +407,30 @@ def poly_from_vector(n: int, degree: int, vector: np.ndarray) -> Polynomial:
     return Polynomial(n, _Rows(simplex_index(n, degree), vector))
 
 
+@functools.lru_cache(maxsize=64)
+def _binomials(n: int, degree: int) -> np.ndarray:
+    # The read-only table C[x, k] = binomial(x, k) for x < degree + n and k <= n:
+    # every binomial that grlex_rank forms for an exponent of degree <= degree.
+    table = [[math.comb(x, k) for k in range(n + 1)] for x in range(degree + n)]
+    return _read_only(np.array(table, dtype=np.int64))[0]
+
+
 def dense_coefficients(f: Polynomial, degree: int) -> np.ndarray:
-    """The coefficients of f with |alpha| <= degree as a graded-lex vector."""
+    """The coefficients of f with |alpha| <= degree as a graded-lex vector, at
+    the ranks of grlex_rank read from a cached binomial table sized by the
+    largest degree kept."""
     out = np.zeros(simplex_size(f.n, degree))
-    keep = f.exponents.sum(axis=1) <= degree
-    out[grlex_rank(f.exponents[keep])] = f.coefs[keep]
+    totals = f.exponents.sum(axis=1)
+    kept = int(np.searchsorted(totals, degree, side="right"))  # the rows are graded-lex
+    alpha, rest = f.exponents[:kept], totals[:kept]
+    n = f.n
+    table = _binomials(n, int(rest[-1]) if kept else 0)
+    rank = table[rest + n - 1, n]
+    for i in range(n - 1):  # grlex_rank's steps, each binomial one lookup
+        t = n - 1 - i
+        rank = rank + table[rest + t, t] - table[rest - alpha[:, i] + t, t]
+        rest = rest - alpha[:, i]
+    out[rank] = f.coefs[:kept]
     return out
 
 
@@ -414,63 +440,124 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def sqrt_coefficients(f: np.ndarray, n: int, max_degree: int) -> np.ndarray:
-    """The square root h of a graded-lex vector f (to at least max_degree, f[0]
-    > 0), or of each row of a stack, by J. C. P. Miller's recurrence: E = sum
-    X_i d/dX_i turns h^2 = f into f E(h) = h E(f) / 2, so d f_0 h_a = sum
-    (3|c|/2 - d) f_c h_{a-c} over 1 <= |c| <= deg f, |a| = d, added by
-    ascending rank of c in one np.bincount per degree, bins from one sorted
-    slice of shift_table(n, max_degree - 1, deg f); deg f reads every entry
-    of the stack, and counts as max_degree above it.  A row with f_0 >= 2
-    runs on f / 4^m, f_0 / 4^m in [0.5, 2), then h = h' 2^m (exact): the
-    terms stay near h in size, not f h.  Row 0 runs to max_degree, row r >= 1
-    to min(max_degree - r, deg f), zeros above, each rounding and overflowing as alone."""
-    stack = np.atleast_2d(f)
-    m = np.maximum(np.frexp(stack[:, :1])[1] // 2, 0)  # f_0 / 4^m in [0.5, 2) if f_0 >= 2
-    stack = np.ldexp(stack, -2 * m)
+class _SqrtPlan(NamedTuple):
+    # The shape-only part of sqrt_stack for (n, max_degree, deg f, rows): the
+    # pairs (c, b) with 1 <= |c| <= deg f and |b + c| <= max_degree, sorted by
+    # rank(b + c), then ascending rank of c, and their factors 3|c|/2 - |b + c|.
+    # Degree d (from rank sizes[d]) has the pairs ends[d]:ends[d + 1], live[d - 1]
+    # rows and, in bins[d - 1], the bin of each pair in each live row r: r *
+    # (sizes[d + 1] - sizes[d]) + rank(b + c) - sizes[d].
+    c: np.ndarray
+    b: np.ndarray
+    factor: np.ndarray
+    ends: tuple[int, ...]
+    sizes: tuple[int, ...]
+    live: tuple[int, ...]
+    bins: tuple[np.ndarray, ...]
+
+
+@functools.lru_cache(maxsize=64)
+def _sqrt_plan(n: int, max_degree: int, deg_f: int, rows: int) -> _SqrtPlan:
     sizes = [simplex_size(n, d - 1) for d in range(max_degree + 2)]  # degree d from sizes[d]
-    total = simplex_index(n, max_degree).sum(axis=1)
-    h = np.zeros((len(stack), sizes[-1]))
-    h[:, 0] = np.sqrt(stack[:, 0])
-    deg_f = int(total[min(stack.any(axis=0).nonzero()[0][-1], sizes[-1] - 1)])  # <= max_degree
     table = shift_table(n, max_degree - 1, deg_f)[1:]  # T[rank(c) - 1, rank(b)] = rank(b + c)
     order = table.argsort(axis=None, kind="stable")  # by bin, then ascending rank of c
     bins = table.take(order)
     ends = bins.searchsorted(sizes).tolist()  # degree d: the pairs ends[d]:ends[d + 1]
     c, b = np.divmod(order[: ends[-1]] + table.shape[1], table.shape[1])  # row 0 was cut
-    factor = 1.5 * total[c] - total[bins[: ends[-1]]]  # 3|c|/2 - |a|
-    starts = np.array(sizes)[:, None]  # row r of degree d fills the bins r * block + rank - start
-    offsets = (starts[1:] - starts[:-1]) * np.arange(len(stack)) - starts[:-1]
-    denominators = np.arange(max_degree + 1)[:, None] * stack[:, 0]  # d * f_0
+    degrees = np.repeat(np.arange(max_degree + 1), np.diff(ends))  # |a| = |b + c|
+    factor = 1.5 * simplex_index(n, deg_f).sum(axis=1)[c] - degrees  # 3|c|/2 - |a|
+    live = [min(rows, max_degree + 1 - d) if d <= deg_f else 1 for d in range(1, max_degree + 1)]
+    scatter = [
+        (bins[ends[d] : ends[d + 1]] - lo + (hi - lo) * np.arange(k)[:, None]).ravel()
+        for d, k, lo, hi in zip(range(1, max_degree + 1), live, sizes[1:], sizes[2:])
+    ]
+    arrays = _read_only(c, b, factor, *scatter)
+    return _SqrtPlan(*arrays[:3], tuple(ends), tuple(sizes), tuple(live), arrays[3:])
+
+
+def sqrt_stack(f: np.ndarray, n: int, max_degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """(top, rows): the square root h of each row of a stack f of graded-lex
+    vectors (f[:, 0] > 0, zero above their width) by J. C. P. Miller's
+    recurrence: E = sum X_i d/dX_i turns h^2 = f into f E(h) = h E(f) / 2, so
+    d f_0 h_a = sum (3|c|/2 - d) f_c h_{a-c} over 1 <= |c| <= deg f, |a| = d,
+    added by ascending rank of c in one np.bincount per degree.  deg f reads
+    every entry of the stack and counts as max_degree above it.  Row 0 runs to
+    max_degree and is top; row r >= 1 runs to min(max_degree - r, deg f), zeros
+    above, and rows holds every row to min(max_degree, deg f), so the stack
+    costs its rows times the simplex of deg f, not of max_degree.  A row with
+    f_0 >= 2 runs on f / 4^m, f_0 / 4^m in [0.5, 2), then h = h' 2^m (exact):
+    the terms stay near h in size.  Each row rounds and overflows as alone.
+
+    Every index array comes from a read-only plan cached per (n, max_degree,
+    deg f, rows) over a slice of shift_table(n, max_degree - 1, deg f)."""
+    top = np.empty(simplex_size(n, max_degree))  # too large for memory: fails before any plan
+    m = np.maximum(np.frexp(f[:, :1])[1] // 2, 0)  # f_0 / 4^m in [0.5, 2) if f_0 >= 2
+    stack = np.ldexp(f, -2 * m)
+    last = int(stack.any(axis=0).nonzero()[0][-1])
+    deg_f = 0
+    while deg_f < max_degree and simplex_size(n, deg_f) <= last:
+        deg_f += 1
+    plan = _sqrt_plan(n, max_degree, deg_f, len(stack))
+    width, split = plan.sizes[deg_f + 1], plan.ends[deg_f + 1]  # rows' width, their pairs
+    rows = top[None, :width] if len(stack) == 1 else np.zeros((len(stack), width))
+    rows[:, 0] = np.sqrt(stack[:, 0])
+    denominators = np.arange(deg_f + 1)[:, None] * stack[:, 0]  # d * f_0
     with np.errstate(over="ignore", invalid="ignore"):
-        weights = factor[: ends[deg_f + 1]] * stack.take(c[: ends[deg_f + 1]], axis=1)
-        first = factor * stack[:1].take(c, axis=1)  # row 0's; every row's to deg f above
-        for d in range(1, max_degree + 1):
-            live = min(len(stack), max_degree + 1 - d) if d <= deg_f else 1
-            lo, hi, at = sizes[d], sizes[d + 1], slice(ends[d], ends[d + 1])
-            terms = (weights if live > 1 else first)[:live, at] * h[:live].take(b[at], axis=1)
-            where = (bins[at] + offsets[d, :live, None]).ravel()
-            sums = np.bincount(where, terms.ravel(), live * (hi - lo)).reshape(live, hi - lo)
-            h[:live, lo:hi] = sums / denominators[d, :live, None]
-        h = np.ldexp(h, m)
-    return h if np.ndim(f) == 2 else h[0]
+        weights = plan.factor[:split] * stack.take(plan.c[:split], axis=1)
+        for d in range(1, deg_f + 1):
+            lo, hi, at = plan.sizes[d], plan.sizes[d + 1], slice(*plan.ends[d : d + 2])
+            live = plan.live[d - 1]
+            terms = weights[:live, at] * rows[:live].take(plan.b[at], axis=1)
+            sums = np.bincount(plan.bins[d - 1], terms.ravel(), live * (hi - lo))
+            rows[:live, lo:hi] = sums.reshape(live, hi - lo) / denominators[d, :live, None]
+        top[:width] = rows[0]
+        tail = plan.factor[split:] * stack[0].take(plan.c[split:])  # row 0's above deg f
+        for d in range(deg_f + 1, max_degree + 1):
+            lo, hi, at = plan.sizes[d], plan.sizes[d + 1], slice(*plan.ends[d : d + 2])
+            terms = tail[at.start - split : at.stop - split] * top.take(plan.b[at])
+            top[lo:hi] = np.bincount(plan.bins[d - 1], terms, hi - lo) / (d * stack[0, 0])
+        return np.ldexp(top, m[0]), np.ldexp(rows, m)
+
+
+def sqrt_coefficients(f: np.ndarray, n: int, max_degree: int) -> np.ndarray:
+    """The square root h of a graded-lex vector f to max_degree, or of each row
+    of a stack of them (sqrt_stack), every row to max_degree with zeros above
+    where it stops."""
+    top, rows = sqrt_stack(np.atleast_2d(f), n, max_degree)
+    if np.ndim(f) == 1:
+        return top
+    out = np.zeros((len(rows), len(top)))
+    out[:, : rows.shape[1]] = rows
+    out[0] = top
+    return out
+
+
+@functools.lru_cache(maxsize=64)
+def _square_plan(n: int, degree: int, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # (a, b, bins): the pairs of ranks with |a| + |b| <= degree, a ascending,
+    # then b (the order poly_mul sums in), from the Hankel table shift_table(n,
+    # degree, degree), and the bins of row r's products, r * size + rank(a + b).
+    size = simplex_size(n, degree)
+    table = shift_table(n, degree, degree)
+    a, b = np.nonzero(table < size)
+    bins = (table[a, b] + size * np.arange(rows)[:, None]).ravel()
+    return _read_only(a, b, bins)
 
 
 def truncated_square(h: np.ndarray, n: int, degree: int) -> np.ndarray:
     """The coefficients of degree <= degree of h * h for a graded-lex vector h, or
     for each row of a stack of them, rounded as poly_mul rounds them: the Gram
-    map of h h^T at the pairs |a| + |b| <= degree, one np.bincount in all."""
+    map of h h^T at the pairs |a| + |b| <= degree, one np.bincount in all, over
+    a read-only plan cached per (n, degree, rows)."""
     size = simplex_size(n, degree)
-    stack = np.zeros((*h.shape[:-1], size))  # cut or zero-padded to the simplex
-    stack[..., : h.shape[-1]] = h[..., :size]
-    stack = np.atleast_2d(stack).T
-    table = shift_table(n, degree, degree)
-    a, b = np.nonzero(table < size)  # a ascending, then b: the order poly_mul sums in
-    rows = stack.shape[1]  # row r of the stack fills the bins rank * rows + r
-    bins = (table[a, b, None] * rows + np.arange(rows)).ravel()
+    rows = np.atleast_2d(h)
+    stack = np.zeros((len(rows), size))  # cut or zero-padded to the simplex
+    stack[:, : rows.shape[1]] = rows[:, :size]
+    a, b, bins = _square_plan(n, degree, len(stack))
     with np.errstate(over="ignore", invalid="ignore"):
-        squares = np.bincount(bins, (stack[a] * stack[b]).ravel(), size * rows).reshape(size, rows)
-    return squares.T if h.ndim == 2 else squares[:, 0]
+        products = stack.take(a, axis=1) * stack.take(b, axis=1)
+        squares = np.bincount(bins, products.ravel(), size * len(stack)).reshape(-1, size)
+    return squares if h.ndim == 2 else squares[0]
 
 
 def series_sqrt(f: Polynomial, max_degree: int) -> Polynomial:
@@ -482,7 +569,7 @@ def series_sqrt(f: Polynomial, max_degree: int) -> Polynomial:
         raise ValueError("degree bound must be >= 0")
     if f.constant_term <= 0.0:
         raise ValueError("series square root needs a strictly positive constant term")
-    g = sqrt_coefficients(dense_coefficients(f, max_degree), f.n, max_degree)
+    g = sqrt_coefficients(dense_coefficients(f, min(f.degree, max_degree)), f.n, max_degree)
     return poly_from_vector(f.n, max_degree, g)
 
 

@@ -214,6 +214,22 @@ class TestCoefficientwiseReport:
         for i, error in enumerate(errors[3:], 4):
             assert abs(error - 1.0 / i) <= 1e-10
 
+    def test_degree_5000_report_holds_rows_to_deg_f(self):
+        # h_1, ..., h_4999 of a 1-D quadratic are stored only to degree 2, so
+        # the report holds about 5000 * 3 floats besides h_5000 (the full
+        # 5000 x 5001 stack took about 1.2 GB)
+        f = Polynomial(1, {(0,): 1.0, (1,): 0.5, (2,): -0.3})
+        tracemalloc.start()
+        try:
+            h, errors = coefficientwise_report(f, 5000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
+        assert list(h.terms.items()) == list(sqrt_square_approx(f, 5000).terms.items())
+        assert len(errors) == 5000
+        assert errors[-1] == pytest.approx(1.0 / 5000, abs=1e-12)
+
 
 def cauchy_sqrt(f, degree, number, sqrt):
     # The Cauchy square, the baseline for Miller's recurrence:

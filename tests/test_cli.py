@@ -387,6 +387,25 @@ class TestSqrtApproxCommand:
         assert captured.err.startswith("error:")
         assert "not finite" in captured.err
 
+    def test_unallocatable_report_exits_one(self, tmp_path):
+        # h_1000000 in three variables has about 1.7e17 coefficients (1.16 EiB),
+        # which numpy refuses at once; the run must end with an error line, not
+        # a traceback, and within the timeout: nothing may enumerate that
+        # simplex before the allocation fails
+        path = tmp_path / "f3.json"
+        terms = {(0, 0, 0): 1.0, (1, 0, 0): 0.5, (0, 1, 1): -0.25}
+        path.write_text(json.dumps(poly_to_dict(Polynomial(3, terms))))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        argv = ["-m", "momentcone.cli", "sqrt-approx", "--f", str(path), "--i", "1000000"]
+        done = subprocess.run(
+            [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: Unable to allocate")
+        assert done.stderr.count("\n") == 1  # one line, no traceback
+
 
 class TestSosApproxCommand:
     def test_certified_run(self, workdir, capsys):

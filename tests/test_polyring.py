@@ -27,10 +27,16 @@ from momentcone import (
     sqrt_square_approx,
 )
 from momentcone.polyring import (
+    _binomials,
+    _sqrt_plan,
+    _square_plan,
     dense_coefficients,
+    grlex_rank,
+    poly_from_vector,
     shift_table,
     simplex_index,
     sqrt_coefficients,
+    sqrt_stack,
     truncated_square,
 )
 from conftest import (
@@ -114,23 +120,47 @@ class TestRankTables:
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         # every H is a shift_table, so an empty shift_table cache means no H
-        # exists, and the box screen's Bernstein tables and the theta_D
-        # vectors of box_sos_approx are cached too; one moment matrix then
-        # fills the shift_table cache
+        # exists, and the box screen's Bernstein tables, the theta_D vectors
+        # of box_sos_approx and the plans of the square root, the truncated
+        # square and dense_coefficients are cached too; one moment matrix
+        # then fills the shift_table cache
         code = (
             "import momentcone.cli\n"
             "from momentcone.approx import _bernstein_tables, _perturbation_vector\n"
             "from momentcone.polyring import shift_table, simplex_index\n"
+            "from momentcone.polyring import _binomials, _sqrt_plan, _square_plan\n"
             "print(shift_table.cache_info().currsize, simplex_index.cache_info().currsize)\n"
             "print(_bernstein_tables.cache_info().currsize)\n"
             "print(_perturbation_vector.cache_info().currsize)\n"
+            "for plan in (_sqrt_plan, _square_plan, _binomials):\n"
+            "    print(plan.cache_info().currsize)\n"
             "momentcone.cli.moment_matrix(momentcone.MomentSequence(1, 2, [1.0, 0.0, 1.0]), 1)\n"
             "print(shift_table.cache_info().currsize)\n"
         )
         done = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
-        assert done.stdout.split() == ["0", "0", "0", "0", "1"]
+        assert done.stdout.split() == ["0", "0", "0", "0", "0", "0", "0", "1"]
+
+    def test_plans_shared_and_read_only(self):
+        # a second call of the same shape reads the first call's plan, whose
+        # index arrays nobody can write
+        f = dense_coefficients(Polynomial(2, {(0, 0): 1.5, (1, 0): 0.5, (1, 1): -2.0}), 2)
+        for _ in range(2):
+            h = sqrt_coefficients(np.tile(f, (3, 1)), 2, 5)
+            truncated_square(h, 2, 4)
+            dense_coefficients(Polynomial(2, {(0, 0): 1.0, (2, 2): 3.0}), 6)
+        sqrt_plan = _sqrt_plan(2, 5, 2, 3)
+        assert sqrt_plan is _sqrt_plan(2, 5, 2, 3)
+        assert _square_plan(2, 4, 3) is _square_plan(2, 4, 3)
+        assert _binomials(2, 4) is _binomials(2, 4)
+        for cache in (_sqrt_plan, _square_plan, _binomials):
+            assert cache.cache_info().hits >= 1
+        arrays = [sqrt_plan.c, sqrt_plan.b, sqrt_plan.factor, *sqrt_plan.bins]
+        for array in arrays + [*_square_plan(2, 4, 3), _binomials(2, 4)]:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
 
 
 class TestAdd:
@@ -350,6 +380,73 @@ class TestDenseRounding:
             alone = sqrt_coefficients(row, n, max_degree - r)
             expected[: len(alone)] = alone
             assert got[r].tobytes() == expected.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 3), st.integers(0, 8), st.data())
+    def test_planned_sqrt_is_the_sparse_recurrence(self, n, max_degree, data):
+        # sqrt_stack on a stack, and on each row alone, against miller_sqrt:
+        # row r to max_degree (r = 0) or min(max_degree - r, deg f) (r >= 1),
+        # top holding row 0 and rows every row to min(max_degree, deg f)
+        rows = data.draw(st.integers(1, max_degree + 1))
+        scale = data.draw(st.sampled_from([1.0, 1e100]))
+        coef = st.floats(-10, 10, allow_nan=False, allow_subnormal=False).map(lambda c: c * scale)
+        exponents = st.sampled_from(list(iter_simplex(n, 4))[1:])
+        polys = []
+        for _ in range(rows):
+            terms = data.draw(st.dictionaries(exponents, coef, max_size=6))
+            terms[(0,) * n] = data.draw(st.floats(min_value=1e-3, max_value=10.0))
+            polys.append(Polynomial(n, terms))
+        width = data.draw(st.integers(max(f.degree for f in polys), 6))
+        stack = np.stack([dense_coefficients(f, width) for f in polys])
+        deg_f = min(max(f.degree for f in polys), max_degree)
+        top, got = sqrt_stack(stack, n, max_degree)
+        assert got.shape == (rows, simplex_size(n, deg_f))
+        assert top[: got.shape[1]].tobytes() == got[0].tobytes()
+        for r, f in enumerate(polys):
+            degree = max_degree if r == 0 else min(max_degree - r, deg_f)
+            expected = np.array(list(miller_sqrt(f, degree).values()))
+            alone = sqrt_stack(stack[r : r + 1], n, degree)[0]
+            row = top if r == 0 else got[r, : len(expected)]
+            if not np.isfinite(expected).all():  # an overflow, then inf - inf or 0 * inf
+                assert not np.isfinite(row).all() and not np.isfinite(alone).all()
+                continue
+            assert (row + 0.0).tolist() == (expected + 0.0).tolist() == (alone + 0.0).tolist()
+            assert not got[r, len(expected) :].any()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 3), st.integers(0, 8), st.data())
+    def test_planned_square_of_a_stack_is_poly_mul(self, n, degree, data):
+        # each row of a stack, cut or zero-padded to the simplex, squares as
+        # poly_mul squares the polynomial of that row
+        width = data.draw(st.integers(0, 6))
+        coef = st.floats(min_value=-10, max_value=10, allow_nan=False)
+        exponents = st.sampled_from(list(iter_simplex(n, 4)))
+        polys = data.draw(st.lists(st.dictionaries(exponents, coef, max_size=6), max_size=5))
+        stack = np.zeros((len(polys), simplex_size(n, width)))
+        for row, terms in zip(stack, polys):
+            row[:] = dense_coefficients(Polynomial(n, terms), width)
+        got = truncated_square(stack, n, degree)
+        assert got.shape == (len(polys), simplex_size(n, degree))
+        for row, square in zip(stack, got):
+            h = poly_from_vector(n, width, row)
+            expected = [poly_mul(h, h).coefficient(a) for a in iter_simplex(n, degree)]
+            assert square.tolist() == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 3), st.integers(0, 8), st.data())
+    def test_planned_dense_coefficients_is_the_rank_scatter(self, n, degree, data):
+        # the cached binomial table ranks as grlex_rank does, rows above
+        # degree dropped, a huge exponent among them
+        exponents = st.tuples(*[st.integers(0, 6)] * n)
+        coef = st.floats(min_value=-10, max_value=10, allow_nan=False)
+        terms = data.draw(st.dictionaries(exponents, coef, max_size=10))
+        if data.draw(st.booleans()):
+            terms[(10**12,) + (0,) * (n - 1)] = 1.0
+        f = Polynomial(n, terms)
+        expected = np.zeros(simplex_size(n, degree))
+        keep = f.exponents.sum(axis=1) <= degree
+        expected[grlex_rank(f.exponents[keep])] = f.coefs[keep]
+        assert dense_coefficients(f, degree).tobytes() == expected.tobytes()
 
     def test_overflow_names_a_coefficient(self):
         with pytest.raises(ValueError, match=r"at \(\d+,\) is not finite"):
