@@ -33,6 +33,7 @@ from .polyring import (
     series_sqrt,
     shift_table,
     simplex_index,
+    simplex_size,
     sqrt_stack,
     truncated_square,
 )
@@ -80,6 +81,7 @@ def coefficientwise_report(f: Polynomial, i_max: int) -> tuple[Polynomial, list[
     _check_index(f, i_max)
     region = max(f.degree, 0)
     coefficients = dense_coefficients(f, region)
+    np.empty(simplex_size(f.n, i_max))  # h_{i_max} too large for memory fails before the tile
     shifted = np.tile(coefficients, (i_max, 1))  # to deg f, which sets where h_i stops
     shifted[:, 0] += 1.0 / np.arange(i_max, 0, -1)  # row k: 1/i + f, i = i_max - k
     top, rows = sqrt_stack(shifted, f.n, i_max)  # rows: every h_i to min(i_max, deg f)

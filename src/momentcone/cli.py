@@ -9,10 +9,13 @@ subcommand name and that parser consumes every argument; any other argv goes
 through the whole argparse tree, so usage, help and error texts are
 argparse's own.  Each subcommand returns its report text and whether its
 checks passed; a JSON report is written as string pieces into one list and
-joined once (render_json).  main alone writes the text and sets the exit
-code: 0 when all requested checks pass, 2 when a check fails, 1 for usage
-errors, I/O or parse errors and for numeric flags that are not numbers, not
-finite or out of range.
+joined once (render_json).  A list of like dicts, such as the moment values,
+polynomial terms and error rows, is filled from one row text by one %;
+every other list (non-finite floats, numpy scalars, bool or str columns,
+ragged or nested ones) is written item by item, to the same bytes.  main
+alone writes the text and sets the exit code: 0 when all requested checks
+pass, 2 when a check fails, 1 for usage errors, I/O or parse errors and for
+numeric flags that are not numbers, not finite or out of range.
 """
 
 from __future__ import annotations
@@ -22,7 +25,9 @@ import functools
 import json
 import math
 import sys
+from itertools import chain, cycle
 from json.encoder import encode_basestring_ascii
+from operator import is_, itemgetter
 
 from . import __version__
 from .approx import box_sos_approx, coefficientwise_report
@@ -77,12 +82,64 @@ _SCALARS = {
 }
 
 
+def _cell_format(values: list) -> str | None:
+    # The % format of cells that are all exact ints (no bool, no numpy scalar),
+    # as int.__repr__ prints them, or all finite floats, as _render_float
+    # prints them; None for any other mix.
+    kinds = {*map(type, values)}
+    if kinds == {int}:
+        return "%d"
+    if kinds == {float} and all(map(math.isfinite, values)):
+        return "%.17g"
+    return None
+
+
+def _table(rows, inner: str) -> str | None:
+    """The items of a list of dicts as render_json writes them, at indent
+    inner and joined by commas, when the dicts form a table; else None.  A
+    table's rows hold the first row's str key objects in its order, and each
+    key's column holds cells of one _cell_format or lists of them all of one
+    nonzero length.  The row text is built once and filled for every row by
+    one % over the cells in row order."""
+    keys = tuple(rows[0])
+    if (not keys or {*map(type, keys)} != {str} or {*map(type, rows)} != {dict}
+            or {*map(len, rows)} != {len(keys)}
+            or not all(map(is_, chain.from_iterable(rows), cycle(keys)))):
+        return None
+    at, item = inner + "  ", inner + "    "  # the keys' indent, a list cell's
+    fields, columns = [], []  # columns: one per cell of a row, in row order
+    for key in keys:
+        column = list(map(itemgetter(key), rows))
+        if type(column[0]) is list:
+            width = len(column[0])
+            if not width or {*map(type, column)} != {list} or {*map(len, column)} != {width}:
+                return None
+            cell = _cell_format([*chain.from_iterable(column)])
+            text = cell and "[\n" + item + (",\n" + item).join([cell] * width) + "\n" + at + "]"
+            columns += zip(*column)
+        else:
+            text = _cell_format(column)
+            columns.append(column)
+        if text is None:
+            return None
+        fields.append(encode_basestring_ascii(key).replace("%", "%%") + ": " + text)
+    row = "{\n" + at + (",\n" + at).join(fields) + "\n" + inner + "}"
+    return (",\n" + inner).join([row] * len(rows)) % tuple(chain.from_iterable(zip(*columns)))
+
+
 def render_json(obj) -> str:
     """Deterministic JSON with floats at 17 significant digits.
 
     Infinite values become the strings "+inf"/"-inf" since JSON has no
     number for them.  The report is written as string pieces into one list
     and joined once; a list of scalars is one piece, rendered in one join.
+    A list of dicts that form a table (_table: like keys, each column exact
+    ints, finite floats or lists of one of these of one length, as the
+    moment, term and error lists are) is one piece too, every row filled
+    from one row text.
+    Any other list of dicts, a nan or inf, a numpy scalar, a bool or str
+    column, a ragged or empty list, or a nested container among them, is
+    rendered item by item, so each byte and each error is the same either way.
     Keys and strings are quoted by the function json.dumps uses for a string.
     """
     out: list[str] = []
@@ -112,7 +169,11 @@ def render_json(obj) -> str:
             inner = indent + "  "
             comma = ",\n" + inner
             try:
-                items = [r(v) if (r := scalars(type(v))) else _render_scalar(v) for v in value]
+                body = _table(value, inner) if type(value[0]) is dict else None
+                if body is None:  # scalars, or a TypeError at the first container
+                    body = comma.join(
+                        [r(v) if (r := scalars(type(v))) else _render_scalar(v) for v in value]
+                    )
             except TypeError:  # a nested container: render item by item
                 sep = "[\n" + inner
                 for v in value:
@@ -120,7 +181,7 @@ def render_json(obj) -> str:
                     emit(v, inner)
                     sep = comma
             else:
-                append("[\n" + inner + comma.join(items))
+                append("[\n" + inner + body)
             append("\n" + indent + "]")
         else:
             render = scalars(type(value))

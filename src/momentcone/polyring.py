@@ -11,17 +11,20 @@ only drop zeros.  ``terms`` is a read-only map derived from the two arrays.
 The truncated square root (sqrt_stack, Miller's recurrence) and square
 (truncated_square) run on dense graded-lex vectors, or on a stack of them
 with one np.bincount for all rows (per degree for the root, once for the
-square).  Both read their bins from the one cached rank table, shift_table:
-the square from the Hankel table shift_table(n, d, d), in the order poly_mul
+square).  Both read their bins from the one rank table, shift_table: the
+square from the Hankel table shift_table(n, d, d), in the order poly_mul
 sums its products, and the root from shift_table(n, D - 1, deg f) for
 degree D.  Every coefficient rounds as in a stack of one row.  The index
 work that depends only on the shape is built once into read-only plans,
 cached like shift_table and built on first use, never at import: the root's
 sorted pairs, factors and per-degree bins per (n, D, deg f, rows), the
 square's pairs and bins per (n, d, rows), and dense_coefficients' binomial
-table per (n, degree kept).  Row 0 of a root stack runs to D; every other
-row stops at deg f and is stored only that far, so a stack of r rows costs
-r * simplex_size(n, deg f) + simplex_size(n, D) floats.
+table per (n, degree kept).  A root or square plan of more than
+_PLAN_ENTRIES entries in an array is built for its call and not kept, and
+the root's plan ranks its table uncached, so a report to a large degree
+leaves no table sized by that degree behind.  Row 0 of a root stack runs
+to D; every other row stops at deg f and is stored only that far, so a
+stack of r rows costs r * simplex_size(n, deg f) + simplex_size(n, D) floats.
 """
 
 from __future__ import annotations
@@ -440,6 +443,20 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
+# The most entries a cached plan may hold in one array, so each plan cache
+# (64 plans of at most four 8-byte arrays) holds at most 16 MiB.  The plans
+# of the bench decks hold at most 1770; a report to i = 200 of a bivariate
+# quartic would keep about 9 MB in its root plan alone.
+_PLAN_ENTRIES = 1 << 13
+
+
+def _planned(plan, entries: int, *key):
+    """plan(*key) from its lru cache when entries, an upper bound on the
+    length of each of its arrays, is at most _PLAN_ENTRIES; otherwise built
+    for this call alone, so the cache holds only small plans."""
+    return (plan if entries <= _PLAN_ENTRIES else plan.__wrapped__)(*key)
+
+
 class _SqrtPlan(NamedTuple):
     # The shape-only part of sqrt_stack for (n, max_degree, deg f, rows): the
     # pairs (c, b) with 1 <= |c| <= deg f and |b + c| <= max_degree, sorted by
@@ -459,7 +476,8 @@ class _SqrtPlan(NamedTuple):
 @functools.lru_cache(maxsize=64)
 def _sqrt_plan(n: int, max_degree: int, deg_f: int, rows: int) -> _SqrtPlan:
     sizes = [simplex_size(n, d - 1) for d in range(max_degree + 2)]  # degree d from sizes[d]
-    table = shift_table(n, max_degree - 1, deg_f)[1:]  # T[rank(c) - 1, rank(b)] = rank(b + c)
+    # T[rank(c) - 1, rank(b)] = rank(b + c), not cached: the plan keeps its sorted form
+    table = shift_table.__wrapped__(n, max_degree - 1, deg_f)[1:]
     order = table.argsort(axis=None, kind="stable")  # by bin, then ascending rank of c
     bins = table.take(order)
     ends = bins.searchsorted(sizes).tolist()  # degree d: the pairs ends[d]:ends[d + 1]
@@ -488,8 +506,9 @@ def sqrt_stack(f: np.ndarray, n: int, max_degree: int) -> tuple[np.ndarray, np.n
     f_0 >= 2 runs on f / 4^m, f_0 / 4^m in [0.5, 2), then h = h' 2^m (exact):
     the terms stay near h in size.  Each row rounds and overflows as alone.
 
-    Every index array comes from a read-only plan cached per (n, max_degree,
-    deg f, rows) over a slice of shift_table(n, max_degree - 1, deg f)."""
+    Every index array comes from a read-only plan per (n, max_degree, deg f,
+    rows) over a slice of the rank table shift_table(n, max_degree - 1, deg
+    f), cached unless it is large (_planned)."""
     top = np.empty(simplex_size(n, max_degree))  # too large for memory: fails before any plan
     m = np.maximum(np.frexp(f[:, :1])[1] // 2, 0)  # f_0 / 4^m in [0.5, 2) if f_0 >= 2
     stack = np.ldexp(f, -2 * m)
@@ -497,7 +516,9 @@ def sqrt_stack(f: np.ndarray, n: int, max_degree: int) -> tuple[np.ndarray, np.n
     deg_f = 0
     while deg_f < max_degree and simplex_size(n, deg_f) <= last:
         deg_f += 1
-    plan = _sqrt_plan(n, max_degree, deg_f, len(stack))
+    size_f = simplex_size(n, deg_f)
+    entries = size_f * (len(top) + len(stack) * size_f)  # pairs, and bins of every live row
+    plan = _planned(_sqrt_plan, entries, n, max_degree, deg_f, len(stack))
     width, split = plan.sizes[deg_f + 1], plan.ends[deg_f + 1]  # rows' width, their pairs
     rows = top[None, :width] if len(stack) == 1 else np.zeros((len(stack), width))
     rows[:, 0] = np.sqrt(stack[:, 0])
@@ -548,12 +569,12 @@ def truncated_square(h: np.ndarray, n: int, degree: int) -> np.ndarray:
     """The coefficients of degree <= degree of h * h for a graded-lex vector h, or
     for each row of a stack of them, rounded as poly_mul rounds them: the Gram
     map of h h^T at the pairs |a| + |b| <= degree, one np.bincount in all, over
-    a read-only plan cached per (n, degree, rows)."""
+    a read-only plan per (n, degree, rows), cached unless it is large (_planned)."""
     size = simplex_size(n, degree)
     rows = np.atleast_2d(h)
     stack = np.zeros((len(rows), size))  # cut or zero-padded to the simplex
     stack[:, : rows.shape[1]] = rows[:, :size]
-    a, b, bins = _square_plan(n, degree, len(stack))
+    a, b, bins = _planned(_square_plan, len(stack) * size * size, n, degree, len(stack))
     with np.errstate(over="ignore", invalid="ignore"):
         products = stack.take(a, axis=1) * stack.take(b, axis=1)
         squares = np.bincount(bins, products.ravel(), size * len(stack)).reshape(-1, size)

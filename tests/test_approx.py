@@ -1,4 +1,5 @@
 import decimal
+import gc
 import itertools
 import math
 import statistics
@@ -213,6 +214,25 @@ class TestCoefficientwiseReport:
         assert h.degree == 100 and len(errors) == 100
         for i, error in enumerate(errors[3:], 4):
             assert abs(error - 1.0 / i) <= 1e-10
+
+    def test_large_reports_leave_no_plans_behind(self):
+        # reports to i = 100 and then i = 200 of a bivariate quartic held 15.3 MB
+        # afterwards in cached square-root plans and rank tables sized by i;
+        # plans that large are built for their call alone
+        terms = {(0, 0): 0.905, (0, 1): 0.909, (0, 2): -0.549, (0, 3): -0.231, (0, 4): 0.067,
+                 (1, 0): -0.596, (1, 1): -0.573, (1, 2): 0.088, (1, 3): 0.38, (2, 0): -0.668,
+                 (2, 1): -0.138, (2, 2): 0.601, (3, 0): 0.446, (3, 1): -0.456, (4, 0): 0.495}
+        f = Polynomial(2, terms)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            for i_max in (100, 200):
+                coefficientwise_report(f, i_max)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held <= 4e6
 
     def test_degree_5000_report_holds_rows_to_deg_f(self):
         # h_1, ..., h_4999 of a 1-D quadratic are stored only to degree 2, so

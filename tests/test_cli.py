@@ -21,7 +21,7 @@ from momentcone import (
     moments_to_dict,
     poly_to_dict,
 )
-from momentcone.cli import build_parser, main, render_json
+from momentcone.cli import _table, build_parser, main, render_json
 
 HUGE_INT = "1" + "0" * 400  # a JSON integer too large for a float
 
@@ -405,6 +405,32 @@ class TestSqrtApproxCommand:
         assert done.stdout == ""
         assert done.stderr.startswith("error: Unable to allocate")
         assert done.stderr.count("\n") == 1  # one line, no traceback
+
+    def test_unallocatable_report_fails_before_the_stack(self, tmp_path):
+        # h_1000000 is refused before the 1000000 x 10 stack of the h_i below
+        # it is tiled (about 90 MB), so the traced peak stays small.  numpy
+        # counts the refused request in tracemalloc though nothing was
+        # allocated, so its 8 bytes per coefficient come off the peak.
+        path = tmp_path / "f3.json"
+        terms = {(0, 0, 0): 1.0, (1, 0, 0): 0.5, (0, 1, 1): -0.25}
+        path.write_text(json.dumps(poly_to_dict(Polynomial(3, terms))))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = (
+            "import tracemalloc\n"
+            "from momentcone.cli import main\n"
+            "from momentcone.polyring import simplex_size\n"
+            "tracemalloc.start()\n"
+            f"code = main(['sqrt-approx', '--f', {str(path)!r}, '--i', '1000000'])\n"
+            "print(code, tracemalloc.get_traced_memory()[1] - 8 * simplex_size(3, 10**6))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        exit_code, peak = done.stdout.split()
+        assert exit_code == "1"
+        assert done.stderr.startswith("error: Unable to allocate 1.16 EiB")
+        assert int(peak) < 1e6
 
 
 class TestSosApproxCommand:
@@ -858,6 +884,98 @@ _JSON_PAYLOADS = st.recursive(
 @given(_JSON_PAYLOADS)
 def test_render_json_matches_recursive_oracle(payload):
     assert _rendered(render_json, payload) == _rendered(_render_json_oracle, payload)
+
+
+_INTS = st.integers(-(2**200), 2**200)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)  # -0.0 and subnormals among them
+_SPECIALS = st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 5e-324])
+
+
+def _cell_lists(cells, width: int):
+    return st.lists(cells, min_size=width, max_size=width)
+
+
+# one strategy per column kind, given the list width: the kinds a table takes,
+# then kinds that send the whole list item by item
+_COLUMNS = [
+    lambda w: _INTS,
+    lambda w: _FINITE,
+    lambda w: _cell_lists(_INTS, w),  # width 0: an empty list
+    lambda w: _cell_lists(_FINITE, w),
+    lambda w: _FINITE | _SPECIALS,  # inf and nan render as strings
+    lambda w: _cell_lists(_INTS | st.booleans(), w),  # a bool among the ints
+    lambda w: _cell_lists(_INTS, w) | _cell_lists(_INTS, w + 1),  # ragged
+    lambda w: _INTS | _FINITE,  # ints and floats in one column
+    lambda w: st.floats().map(np.float64),  # renders as a float
+    lambda w: st.integers(-(2**63), 2**63 - 1).map(np.int64),  # both renderers raise
+    lambda w: st.booleans(),
+    lambda w: st.text(),
+    lambda w: st.none(),
+    lambda w: st.dictionaries(st.text(max_size=2), _INTS, max_size=2),  # nested
+]
+
+
+@st.composite
+def _dict_lists(draw):
+    """A list of dicts with one set of keys and one kind per column, which
+    render_json writes from one row text, or one broken by a column kind, a
+    missing key or a reordered row, nested a few levels deep."""
+    n_rows = draw(st.integers(1, 5))
+    width = draw(st.integers(0, 3))
+    keys = draw(st.lists(st.text(max_size=3), max_size=4, unique=True))  # "%" and non-ASCII
+    kind = st.integers(0, 3) | st.integers(0, len(_COLUMNS) - 1)  # half of them table kinds
+    kinds = draw(st.lists(kind, min_size=len(keys), max_size=len(keys)))
+    columns = [
+        draw(st.lists(_COLUMNS[kind](width), min_size=n_rows, max_size=n_rows))
+        for kind in kinds
+    ]
+    rows = [dict(zip(keys, cells)) for cells in zip(*columns)] or [{} for _ in range(n_rows)]
+    broken = draw(st.sampled_from([None, None, "missing", "reordered"]))
+    if broken and keys:
+        row = draw(st.integers(0, n_rows - 1))
+        if broken == "missing":
+            del rows[row][draw(st.sampled_from(keys))]
+        else:
+            rows[row] = dict(reversed(rows[row].items()))
+    payload = rows
+    for wrap in draw(st.lists(st.sampled_from(["dict", "list", "tuple"]), max_size=2)):
+        payload = {"k": payload} if wrap == "dict" else [payload] if wrap == "list" else (payload,)
+    return payload
+
+
+@settings(max_examples=300, deadline=None)
+@given(_dict_lists())
+def test_render_json_tables_match_recursive_oracle(payload):
+    assert _rendered(render_json, payload) == _rendered(_render_json_oracle, payload)
+
+
+@pytest.mark.parametrize(
+    "rows, table",
+    [
+        (moments_to_dict(moments_of_measure(AtomicMeasure(((0.5, -0.25),), (1.0,)), 3))["values"],
+         True),
+        (poly_to_dict(Polynomial(2, {(0, 0): 1.0, (2, 1): -0.5}))["terms"], True),
+        ([{"i": 1, "max_coefficient_error": 0.5}, {"i": 2, "max_coefficient_error": 1e-300}],
+         True),
+        ([{"exp": [1], "s": 2**70}, {"exp": [2], "s": -3}], True),
+        ([{"%d": 1, "\u00e9%s": [0.5]}, {"%d": -2, "\u00e9%s": [-0.0]}], True),  # % in keys
+        ([{"s": 1.0}, {"s": math.inf}], False),
+        ([{"s": 1.0}, {"s": 1}], False),
+        ([{"s": 1}, {"s": True}], False),
+        ([{"s": 1.0}, {"s": np.float64(2.0)}], False),
+        ([{"exp": [1]}, {"exp": [1, 2]}], False),
+        ([{"exp": []}, {"exp": []}], False),
+        ([{"a": 1, "b": 2}, {"b": 2, "a": 1}], False),
+        ([{"a": 1, "b": 2}, {"a": 1}], False),
+        ([{"label": "g1", "pass": True}], False),
+        ([{}], False),
+    ],
+)
+def test_table_path_taken_only_by_like_rows(rows, table):
+    # the lists the CLI prints take the one-template path; anything else is
+    # rendered item by item, and both give the oracle's bytes
+    assert (_table(rows, "  ") is not None) == table
+    assert render_json({"rows": rows}) == _render_json_oracle({"rows": rows})
 
 
 # argvs that build_parser().parse_args must see: no subcommand first, an

@@ -1,8 +1,11 @@
-"""The demo scripts run end to end and print their headline lines, and the
-README's Library example runs as written."""
+"""The demo scripts run end to end and print their headline lines, the deck
+digest repeats across processes, and the README's Library example runs as
+written."""
 
+import os
 import re
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
@@ -35,6 +38,21 @@ def test_pipeline_demo(monkeypatch, capsys):
     assert lines[5] == "  dual-norm profile by degree: [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]"
     assert lines[6] == "  hypothesis growing: True, psd: True"
     assert lines[7].startswith("  recovery: success=False ")
+
+
+def test_deck_digest_repeats_across_hash_seeds():
+    # one seed's recover deck (16 jobs) through cli.main, in two interpreters
+    # with different string hashing: every output byte must be the same
+    lines = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        done = subprocess.run(
+            [sys.executable, str(SCRIPTS / "deck_digest.py"), "recover:1"],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        lines.append(done.stdout)
+    assert re.fullmatch(r"[0-9a-f]{64} 16 outputs\n", lines[0])
+    assert lines[1] == lines[0]
 
 
 def test_readme_library_example():
