@@ -118,8 +118,8 @@ class SosCertificate:
     * "cap": the iteration budget ran out with neither.
 
     factors are sqrt(w_k) v_k for the eigenpairs of gram with w_k > 1e-14
-    max w, formed as dense graded-lex rows; square_sum adds the Gram map of
-    each h_k h_k^T over the Hankel table in factor order, rounding as sum_k
+    max w, formed as dense graded-lex rows; square_sum adds their squares
+    (one truncated_square of the stack) in factor order, rounding as sum_k
     poly_mul(h_k, h_k) does (both are empty when nothing is certified).
     """
 
@@ -267,11 +267,14 @@ def sos_certify(
             if culprit is not None:
                 # l = uniform moments plus a multiple t of the culprit's indicator:
                 # its moment matrix gains at most a positive diagonal entry, and
-                # l(f) = uniform(f) - t |f_c| <= -1
+                # l(g) = uniform(g) - t |g_c| <= -1 for g = f 2^-e, e the exponent
+                # of the largest |f_a|, and l(f) = 2^e l(g) in exact arithmetic;
+                # t stays finite when f_c is subnormal
+                scaled = np.ldexp(targets, -np.frexp(np.max(np.abs(targets)))[1])
                 ell = uniform.copy()
-                t = (abs(uniform @ targets) + 1.0) / abs(targets[culprit])
-                ell[culprit] -= math.copysign(t, targets[culprit])
-                dual = _checked_dual(ell, hankel, targets, uniform)
+                t = (abs(uniform @ scaled) + 1.0) / abs(scaled[culprit])
+                ell[culprit] -= math.copysign(t, scaled[culprit])
+                dual = _checked_dual(ell, hankel, scaled, uniform)
             z = gram
             while dual is None and iterations < max_iters:
                 iterations += 1
@@ -293,9 +296,8 @@ def sos_certify(
     kept = np.flatnonzero(w > 1e-14 * float(w.max(initial=1.0))) if success else []
     factors = np.zeros((len(kept), len(full)))
     factors[:, rows] = (v[:, kept] * np.sqrt(w[kept])).T
-    square_sum = np.zeros(len(targets))
-    for h in factors:  # the Gram map of h h^T, which rounds as poly_mul(h, h)
-        square_sum += np.bincount(full.ravel(), np.outer(h, h).ravel(), len(targets))
+    squares = truncated_square(factors, f.n, 2 * d)
+    square_sum = functools.reduce(np.add, squares, np.zeros(len(targets)))  # in factor order
     if success:
         residual = float(np.max(np.abs(square_sum - targets)))
     return SosCertificate(

@@ -12,19 +12,22 @@ The truncated square root (sqrt_stack, Miller's recurrence) and square
 (truncated_square) run on dense graded-lex vectors, or on a stack of them
 with one np.bincount for all rows (per degree for the root, once for the
 square).  Both read their bins from the one rank table, shift_table: the
-square from the Hankel table shift_table(n, d, d), in the order poly_mul
-sums its products, and the root from shift_table(n, D - 1, deg f) for
-degree D.  Every coefficient rounds as in a stack of one row.  The index
-work that depends only on the shape is built once into read-only plans,
-cached like shift_table and built on first use, never at import: the root's
-sorted pairs, factors and per-degree bins per (n, D, deg f, rows), the
-square's pairs and bins per (n, d, rows), and dense_coefficients' binomial
-table per (n, degree kept).  A root or square plan of more than
-_PLAN_ENTRIES entries in an array is built for its call and not kept, and
-the root's plan ranks its table uncached, so a report to a large degree
-leaves no table sized by that degree behind.  Row 0 of a root stack runs
-to D; every other row stops at deg f and is stored only that far, so a
-stack of r rows costs r * simplex_size(n, deg f) + simplex_size(n, D) floats.
+square from the Hankel table of the simplex that holds its input's width,
+in the order poly_mul sums its products, and the root from shift_table(n,
+D - 1, deg f) for degree D.  Every coefficient rounds as in a stack of one
+row.  The index work that depends only on the shape is built once into
+read-only plans, cached like shift_table and built on first use, never at
+import: the root's sorted pairs, factors and per-degree bins per (n, D,
+deg f, rows); the square's pairs and bins per (n, input width, degree),
+which hold no row count (each call offsets the bins of its rows) and are
+never larger than the Hankel table they come from; and grlex_rank's
+binomial table per (n, largest degree ranked), which dense_coefficients
+reads too.  A root plan of more than _PLAN_ENTRIES entries in an array is
+built for its call and not kept, and it ranks its table uncached, so a
+report to a large degree leaves no table sized by that degree behind.  Row
+0 of a root stack runs to D; every other row stops at deg f and is stored
+only that far, so a stack of r rows costs r * simplex_size(n, deg f) +
+simplex_size(n, D) floats.
 """
 
 from __future__ import annotations
@@ -64,26 +67,39 @@ def simplex_size(n: int, max_degree: int) -> int:
     return math.comb(n + max_degree, n)
 
 
-def _binom(x: np.ndarray, k: int) -> np.ndarray:
-    # C(x, k) elementwise in exact integer steps: after step j it is C(x, j + 1).
-    out = np.ones_like(x)
-    for j in range(k):
-        out = out * (x - j) // (j + 1)
-    return out
+def _simplex_degree(n: int, size: int) -> int:
+    # the least degree whose simplex in n variables holds size entries
+    return next(d for d in itertools.count() if simplex_size(n, d) >= size)
 
 
-def grlex_rank(alpha) -> np.ndarray:
+@functools.lru_cache(maxsize=64)
+def _binomials(n: int, degree: int) -> np.ndarray:
+    # The read-only table C[k, x] = binomial(x, k) for k <= n and x < degree + n,
+    # row k from row k - 1 by the exact integer step C(x, k) = C(x, k - 1)(x - k + 1)/k:
+    # every binomial that grlex_rank forms for an exponent of degree <= degree.
+    x = np.arange(degree + n, dtype=np.int64)  # a degree too large for memory fails here
+    table = np.ones((n + 1, len(x)), dtype=np.int64)
+    for k in range(1, n + 1):
+        table[k] = table[k - 1] * (x - k + 1) // k
+    return _read_only(table)[0]
+
+
+def grlex_rank(alpha, totals=None, degree: int | None = None) -> np.ndarray:
     """Position of each exponent (last axis) in the graded-lex simplex order: the
     count of exponents of lower total degree, then of the lex-smaller ones of
-    the same degree, which depends on no truncation degree."""
+    the same degree, which depends on no truncation degree.  Each binomial is
+    a lookup in a cached table sized by the largest total degree; a caller that
+    has the totals of alpha, or a bound on them, may pass them."""
     alpha = np.asarray(alpha, dtype=np.int64)
     n = alpha.shape[-1]
-    rest = alpha.sum(axis=-1)
-    rank = _binom(rest + n - 1, n)
+    rest = alpha.sum(axis=-1) if totals is None else totals
+    table = _binomials(n, int(rest.max(initial=0)) if degree is None else degree)
+    rank = table[n, n - 1 :][rest]
     for i in range(n - 1):
-        t = n - 1 - i
-        rank = rank + _binom(rest + t, t) - _binom(rest - alpha[..., i] + t, t)
-        rest = rest - alpha[..., i]
+        binomials = table[n - 1 - i, n - 1 - i :]  # C(x + t, t), t = n - 1 - i
+        lower = rest - alpha[..., i]
+        rank = rank + binomials[rest] - binomials[lower]
+        rest = lower
     return rank
 
 
@@ -410,30 +426,14 @@ def poly_from_vector(n: int, degree: int, vector: np.ndarray) -> Polynomial:
     return Polynomial(n, _Rows(simplex_index(n, degree), vector))
 
 
-@functools.lru_cache(maxsize=64)
-def _binomials(n: int, degree: int) -> np.ndarray:
-    # The read-only table C[x, k] = binomial(x, k) for x < degree + n and k <= n:
-    # every binomial that grlex_rank forms for an exponent of degree <= degree.
-    table = [[math.comb(x, k) for k in range(n + 1)] for x in range(degree + n)]
-    return _read_only(np.array(table, dtype=np.int64))[0]
-
-
 def dense_coefficients(f: Polynomial, degree: int) -> np.ndarray:
     """The coefficients of f with |alpha| <= degree as a graded-lex vector, at
-    the ranks of grlex_rank read from a cached binomial table sized by the
-    largest degree kept."""
+    the ranks grlex_rank gives the rows kept, a prefix since they are graded-lex."""
     out = np.zeros(simplex_size(f.n, degree))
     totals = f.exponents.sum(axis=1)
-    kept = int(np.searchsorted(totals, degree, side="right"))  # the rows are graded-lex
-    alpha, rest = f.exponents[:kept], totals[:kept]
-    n = f.n
-    table = _binomials(n, int(rest[-1]) if kept else 0)
-    rank = table[rest + n - 1, n]
-    for i in range(n - 1):  # grlex_rank's steps, each binomial one lookup
-        t = n - 1 - i
-        rank = rank + table[rest + t, t] - table[rest - alpha[:, i] + t, t]
-        rest = rest - alpha[:, i]
-    out[rank] = f.coefs[:kept]
+    kept = int(np.searchsorted(totals, degree, side="right"))
+    top = int(totals[kept - 1]) if kept else 0
+    out[grlex_rank(f.exponents[:kept], totals[:kept], top)] = f.coefs[:kept]
     return out
 
 
@@ -443,18 +443,11 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-# The most entries a cached plan may hold in one array, so each plan cache
+# The most entries a cached root plan may hold in one array, so its cache
 # (64 plans of at most four 8-byte arrays) holds at most 16 MiB.  The plans
 # of the bench decks hold at most 1770; a report to i = 200 of a bivariate
 # quartic would keep about 9 MB in its root plan alone.
 _PLAN_ENTRIES = 1 << 13
-
-
-def _planned(plan, entries: int, *key):
-    """plan(*key) from its lru cache when entries, an upper bound on the
-    length of each of its arrays, is at most _PLAN_ENTRIES; otherwise built
-    for this call alone, so the cache holds only small plans."""
-    return (plan if entries <= _PLAN_ENTRIES else plan.__wrapped__)(*key)
 
 
 class _SqrtPlan(NamedTuple):
@@ -508,17 +501,16 @@ def sqrt_stack(f: np.ndarray, n: int, max_degree: int) -> tuple[np.ndarray, np.n
 
     Every index array comes from a read-only plan per (n, max_degree, deg f,
     rows) over a slice of the rank table shift_table(n, max_degree - 1, deg
-    f), cached unless it is large (_planned)."""
+    f), ranked uncached; the plan is cached unless an array of it would pass
+    _PLAN_ENTRIES entries."""
     top = np.empty(simplex_size(n, max_degree))  # too large for memory: fails before any plan
     m = np.maximum(np.frexp(f[:, :1])[1] // 2, 0)  # f_0 / 4^m in [0.5, 2) if f_0 >= 2
     stack = np.ldexp(f, -2 * m)
-    last = int(stack.any(axis=0).nonzero()[0][-1])
-    deg_f = 0
-    while deg_f < max_degree and simplex_size(n, deg_f) <= last:
-        deg_f += 1
+    deg_f = min(_simplex_degree(n, int(stack.any(axis=0).nonzero()[0][-1]) + 1), max_degree)
     size_f = simplex_size(n, deg_f)
     entries = size_f * (len(top) + len(stack) * size_f)  # pairs, and bins of every live row
-    plan = _planned(_sqrt_plan, entries, n, max_degree, deg_f, len(stack))
+    build = _sqrt_plan if entries <= _PLAN_ENTRIES else _sqrt_plan.__wrapped__
+    plan = build(n, max_degree, deg_f, len(stack))
     width, split = plan.sizes[deg_f + 1], plan.ends[deg_f + 1]  # rows' width, their pairs
     rows = top[None, :width] if len(stack) == 1 else np.zeros((len(stack), width))
     rows[:, 0] = np.sqrt(stack[:, 0])
@@ -540,58 +532,47 @@ def sqrt_stack(f: np.ndarray, n: int, max_degree: int) -> tuple[np.ndarray, np.n
         return np.ldexp(top, m[0]), np.ldexp(rows, m)
 
 
-def sqrt_coefficients(f: np.ndarray, n: int, max_degree: int) -> np.ndarray:
-    """The square root h of a graded-lex vector f to max_degree, or of each row
-    of a stack of them (sqrt_stack), every row to max_degree with zeros above
-    where it stops."""
-    top, rows = sqrt_stack(np.atleast_2d(f), n, max_degree)
-    if np.ndim(f) == 1:
-        return top
-    out = np.zeros((len(rows), len(top)))
-    out[:, : rows.shape[1]] = rows
-    out[0] = top
-    return out
-
-
 @functools.lru_cache(maxsize=64)
-def _square_plan(n: int, degree: int, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # (a, b, bins): the pairs of ranks with |a| + |b| <= degree, a ascending,
-    # then b (the order poly_mul sums in), from the Hankel table shift_table(n,
-    # degree, degree), and the bins of row r's products, r * size + rank(a + b).
-    size = simplex_size(n, degree)
-    table = shift_table(n, degree, degree)
-    a, b = np.nonzero(table < size)
-    bins = (table[a, b] + size * np.arange(rows)[:, None]).ravel()
-    return _read_only(a, b, bins)
+def _square_plan(n: int, width: int, degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # (a, b, bins): the pairs of ranks a, b < width with |a| + |b| <= degree, a
+    # ascending, then b (the order poly_mul sums in), from the Hankel table
+    # shift_table(n, w, w) of the least simplex |a| <= w that holds width
+    # entries, and the bin rank(a + b) of each.
+    w = _simplex_degree(n, width)
+    table = shift_table(n, w, w)[:width, :width]
+    a, b = np.nonzero(table < simplex_size(n, degree))
+    return _read_only(a, b, table[a, b])
 
 
 def truncated_square(h: np.ndarray, n: int, degree: int) -> np.ndarray:
     """The coefficients of degree <= degree of h * h for a graded-lex vector h, or
     for each row of a stack of them, rounded as poly_mul rounds them: the Gram
-    map of h h^T at the pairs |a| + |b| <= degree, one np.bincount in all, over
-    a read-only plan per (n, degree, rows), cached unless it is large (_planned)."""
+    map of h h^T at the pairs |a| + |b| <= degree, one np.bincount in all.  The
+    pairs span only h's own width, from a read-only plan per (n, width, degree)
+    that is never larger than the cached Hankel table it is read from; each
+    call offsets row r's bins by r times the output size."""
     size = simplex_size(n, degree)
     rows = np.atleast_2d(h)
-    stack = np.zeros((len(rows), size))  # cut or zero-padded to the simplex
-    stack[:, : rows.shape[1]] = rows[:, :size]
-    a, b, bins = _planned(_square_plan, len(stack) * size * size, n, degree, len(stack))
+    a, b, bins = _square_plan(n, min(rows.shape[1], size), degree)
     with np.errstate(over="ignore", invalid="ignore"):
-        products = stack.take(a, axis=1) * stack.take(b, axis=1)
-        squares = np.bincount(bins, products.ravel(), size * len(stack)).reshape(-1, size)
+        products = rows.take(a, axis=1) * rows.take(b, axis=1)
+        bins = (np.arange(0, size * len(rows), size)[:, None] + bins).ravel()
+        squares = np.bincount(bins, products.ravel(), size * len(rows)).reshape(-1, size)
     return squares if h.ndim == 2 else squares[0]
 
 
 def series_sqrt(f: Polynomial, max_degree: int) -> Polynomial:
     """Truncated formal power-series square root of f: g = g_0 + ... + g_D,
     D = max_degree, with g**2 - f free of terms of total degree <= D.  g_0 =
-    sqrt(f_0) and g_1, ..., g_D by Miller's recurrence (sqrt_coefficients), so
-    f_0 > 0 is required (sqrt_square_approx shifts f); an overflow is an error."""
+    sqrt(f_0) and g_1, ..., g_D by Miller's recurrence (sqrt_stack on a stack of
+    one row), so f_0 > 0 is required (sqrt_square_approx shifts f); an overflow
+    is an error."""
     if max_degree < 0:
         raise ValueError("degree bound must be >= 0")
     if f.constant_term <= 0.0:
         raise ValueError("series square root needs a strictly positive constant term")
-    g = sqrt_coefficients(dense_coefficients(f, min(f.degree, max_degree)), f.n, max_degree)
-    return poly_from_vector(f.n, max_degree, g)
+    coefficients = dense_coefficients(f, min(f.degree, max_degree))
+    return poly_from_vector(f.n, max_degree, sqrt_stack(coefficients[None], f.n, max_degree)[0])
 
 
 def poly_to_dict(f: Polynomial) -> dict:

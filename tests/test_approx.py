@@ -978,18 +978,21 @@ class TestBoxSosApprox:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(approx_module, "sos_certify", record)
-            try:
-                res = box_sos_approx(f, w, eps, 3, max_iters=200)
-            except ValueError as exc:
-                # the refutation divides by a subnormal coefficient and overflows
-                assert str(exc) == "coefficients too large for the Gram search"
-                res = None
+            res = box_sos_approx(f, w, eps, 3, max_iters=200)
         for depth, candidate in enumerate(seen, 2):
             expected = poly_add(f_unit, poly_scale(square_perturbation(f.n, depth), eps))
             assert candidate == expected
-        if res is not None and res.success:
+        if res.success:
             gap = poly_sub(f_unit, res.certificate.square_sum)
             assert res.distance == weighted_norm(gap, WeightSpec(2, (1.0,) * f.n))
+
+    def test_subnormal_unreached_coefficient_is_refuted(self):
+        # no Gram entry reaches X2; the refutation runs on f scaled by a power
+        # of two, so the multiple of the culprit's indicator stays finite
+        f = Polynomial(2, {(0, 1): 2.2250738585e-313})
+        res = box_sos_approx(f, WeightSpec(2, (1.0, 1.0)), 0.0, 3)
+        assert res.reason == "inconclusive" and res.certificate.stop == "refuted"
+        assert res.certificate.dual @ dense_coefficients(f, 6) < 0.0
 
     def test_candidate_overflow_names_its_coefficient(self):
         f = Polynomial(1, {(0,): 1e308, (2,): 1.0})

@@ -509,6 +509,19 @@ class TestSosApproxCommand:
         assert captured.out == ""
         assert captured.err == "error: coefficients too large for the Gram search\n"
 
+    def test_subnormal_unreached_coefficient_inconclusive(self, tmp_path, capsys):
+        # no Gram entry reaches X2, so its subnormal coefficient refutes every
+        # depth: exit 2, not an error about coefficients too large
+        path = tmp_path / "subnormal.json"
+        path.write_text(json.dumps({"n": 2, "terms": [{"exp": [0, 1], "coef": 2.2250738585e-313}]}))
+        argv = ["sos-approx", "--f", str(path), "--p", "2", "--r", "1,1", "--eps", "0",
+                "--dmax", "3"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        report = json.loads(captured.out)
+        assert (report["success"], report["reason"]) == (False, "inconclusive")
+
     def test_overflowing_box_screen_exit_one(self, tmp_path, capsys):
         # on [-1e200, 1e200] x [-1, 1] the X1^2 coefficient scales to 1e400
         path = tmp_path / "bowl.json"

@@ -35,7 +35,6 @@ from momentcone.polyring import (
     poly_from_vector,
     shift_table,
     simplex_index,
-    sqrt_coefficients,
     sqrt_stack,
     truncated_square,
 )
@@ -95,6 +94,7 @@ class TestSimplexOrder:
                 assert exponents.shape == (simplex_size(n, d), n)
                 basis = list(iter_simplex(n, d))
                 assert list(map(tuple, exponents.tolist())) == basis
+                assert grlex_rank(exponents).tolist() == list(range(len(basis)))
                 shifts = shift_table(n, 2 * d, 2)
                 for rank_c, c in enumerate(iter_simplex(n, 2)):
                     rank = {alpha: k for k, alpha in enumerate(iter_simplex(n, 2 * d + sum(c)))}
@@ -121,9 +121,9 @@ class TestRankTables:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         # every H is a shift_table, so an empty shift_table cache means no H
         # exists, and the box screen's Bernstein tables, the theta_D vectors
-        # of box_sos_approx and the plans of the square root, the truncated
-        # square and dense_coefficients are cached too; one moment matrix
-        # then fills the shift_table cache
+        # of box_sos_approx, the plans of the square root and the truncated
+        # square and grlex_rank's binomial tables are cached too; one moment
+        # matrix then fills the shift_table cache
         code = (
             "import momentcone.cli\n"
             "from momentcone.approx import _bernstein_tables, _perturbation_vector\n"
@@ -142,22 +142,47 @@ class TestRankTables:
         )
         assert done.stdout.split() == ["0", "0", "0", "0", "0", "0", "0", "1"]
 
+    def test_rank_of_a_huge_exponent_fails_fast(self):
+        # the binomial table of X1^(10**6) takes milliseconds; that of
+        # X1^(10**12) is refused by the allocator before any work
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = (
+            "import time\n"
+            "from momentcone.polyring import grlex_rank\n"
+            "print(int(grlex_rank([[10**6, 0]])[0]))\n"
+            "start = time.perf_counter()\n"
+            "try:\n"
+            "    grlex_rank([[10**12, 0]])\n"
+            "except MemoryError:\n"
+            "    print(time.perf_counter() - start < 1.0)\n"
+        )
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True, timeout=60)
+        assert done.stdout.split() == ["500001500000", "True"]
+
     def test_plans_shared_and_read_only(self):
         # a second call of the same shape reads the first call's plan, whose
-        # index arrays nobody can write
+        # index arrays nobody can write; the square's plan holds no row count
         f = dense_coefficients(Polynomial(2, {(0, 0): 1.5, (1, 0): 0.5, (1, 1): -2.0}), 2)
         for _ in range(2):
-            h = sqrt_coefficients(np.tile(f, (3, 1)), 2, 5)
+            _, h = sqrt_stack(np.tile(f, (3, 1)), 2, 5)  # rows to deg f = 2
             truncated_square(h, 2, 4)
             dense_coefficients(Polynomial(2, {(0, 0): 1.0, (2, 2): 3.0}), 6)
         sqrt_plan = _sqrt_plan(2, 5, 2, 3)
         assert sqrt_plan is _sqrt_plan(2, 5, 2, 3)
-        assert _square_plan(2, 4, 3) is _square_plan(2, 4, 3)
+        square_plan = _square_plan(2, h.shape[1], 4)  # keyed by h's width, 6
+        before = _square_plan.cache_info()
+        for rows in (1, 7):
+            truncated_square(np.tile(h[0], (rows, 1)), 2, 4)
+        after = _square_plan.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 2, before.misses)
+        assert _square_plan(2, h.shape[1], 4) is square_plan
         assert _binomials(2, 4) is _binomials(2, 4)
         for cache in (_sqrt_plan, _square_plan, _binomials):
             assert cache.cache_info().hits >= 1
         arrays = [sqrt_plan.c, sqrt_plan.b, sqrt_plan.factor, *sqrt_plan.bins]
-        for array in arrays + [*_square_plan(2, 4, 3), _binomials(2, 4)]:
+        for array in arrays + [*square_plan, _binomials(2, 4)]:
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0
@@ -373,11 +398,12 @@ class TestDenseRounding:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         stack = rng.uniform(-scale, scale, size=(rows, simplex_size(n, max_degree)))
         stack[:, 0] = rng.uniform(1e-3, 10.0, size=rows)
-        got = sqrt_coefficients(stack, n, max_degree)
+        top, got = sqrt_stack(stack, n, max_degree)  # deg f is max_degree: every row is full
         assert got.shape == stack.shape
+        assert top.tobytes() == got[0].tobytes()
         for r, row in enumerate(stack):
             expected = np.zeros(len(row))
-            alone = sqrt_coefficients(row, n, max_degree - r)
+            alone = sqrt_stack(row[None], n, max_degree - r)[0]
             expected[: len(alone)] = alone
             assert got[r].tobytes() == expected.tobytes()
 
@@ -435,8 +461,8 @@ class TestDenseRounding:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 3), st.integers(0, 8), st.data())
     def test_planned_dense_coefficients_is_the_rank_scatter(self, n, degree, data):
-        # the cached binomial table ranks as grlex_rank does, rows above
-        # degree dropped, a huge exponent among them
+        # each coefficient lands at its exponent's place in iter_simplex, rows
+        # above degree dropped, a huge exponent among them
         exponents = st.tuples(*[st.integers(0, 6)] * n)
         coef = st.floats(min_value=-10, max_value=10, allow_nan=False)
         terms = data.draw(st.dictionaries(exponents, coef, max_size=10))
@@ -444,8 +470,8 @@ class TestDenseRounding:
             terms[(10**12,) + (0,) * (n - 1)] = 1.0
         f = Polynomial(n, terms)
         expected = np.zeros(simplex_size(n, degree))
-        keep = f.exponents.sum(axis=1) <= degree
-        expected[grlex_rank(f.exponents[keep])] = f.coefs[keep]
+        for k, alpha in enumerate(iter_simplex(n, degree)):
+            expected[k] = f.coefficient(alpha)
         assert dense_coefficients(f, degree).tobytes() == expected.tobytes()
 
     def test_overflow_names_a_coefficient(self):
@@ -457,12 +483,12 @@ class TestDenseRounding:
         f = dense_coefficients(Polynomial(2, {(0, 0): 1.5, (1, 0): 0.5, (1, 1): -2.0}), 6)
         stack = np.stack([f, f, f])
         stack[1:, 0] += (1.0, 2.0)
-        got = sqrt_coefficients(stack, 2, 6)
-        assert got[0].tobytes() == sqrt_coefficients(f, 2, 6).tobytes()
-        for row, alone in zip(got[1:], stack[1:]):
-            expected = np.zeros(len(row))
-            expected[:6] = sqrt_coefficients(alone, 2, 2)
-            assert row.tobytes() == expected.tobytes()
+        top, rows = sqrt_stack(stack, 2, 6)
+        assert rows.shape == (3, 6)
+        assert top.tobytes() == sqrt_stack(f[None], 2, 6)[0].tobytes()
+        assert rows[0].tobytes() == top[:6].tobytes()
+        for row, alone in zip(rows[1:], stack[1:]):
+            assert row.tobytes() == sqrt_stack(alone[None], 2, 2)[0].tobytes()
 
     def test_huge_constant_term_stays_in_range(self):
         # the recurrence runs on f / 4^m with f_0 / 4^m in [0.5, 2), so its
@@ -631,7 +657,8 @@ class TestArraysMatchDictLoops:
         assert_ops_match_dict_loops(*case)
 
     def test_exponent_beyond_the_grlex_rank_range(self):
-        # grlex_rank wraps around in int64 at X1^(10**10); the rows are sorted without it
+        # grlex_rank's binomial table for X1^(10**10) would not fit in memory;
+        # the rows are sorted without it
         big = 10**10
         f_terms = {(big, 0): 1.5, (0, 1): 2.0, (1, 0): -3.0}
         g_terms = {(0, big): 0.5, (big, 0): 0.25, (0, 0): 1.0}
